@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "hpc/thread_budget.hpp"
+
 namespace bda::hpc {
 
 CommWorld::CommWorld(int n_ranks)
@@ -17,9 +19,13 @@ void CommWorld::run(const std::function<void(Comm&)>& fn) {
   threads.reserve(static_cast<std::size_t>(n_ranks_));
   std::mutex err_mu;
   std::exception_ptr first_error;
+  // Ranks split the caller's thread budget (thread_budget.hpp): each rank's
+  // OpenMP team is its share, not a host-sized team per rank.
+  const int budget = omp_get_max_threads();
 
   for (int r = 0; r < n_ranks_; ++r) {
     threads.emplace_back([&, r] {
+      omp_set_num_threads(thread_share(budget, n_ranks_, r));
       Comm comm(this, r);
       try {
         fn(comm);

@@ -67,7 +67,10 @@ class CommWorld {
   int size() const { return n_ranks_; }
 
   /// Run `fn(comm)` on every rank concurrently; returns when all finish.
-  /// Exceptions thrown by any rank are rethrown (first one wins).
+  /// Exceptions thrown by any rank are rethrown (first one wins).  The
+  /// ranks split the calling thread's OpenMP budget: rank r runs with
+  /// omp_get_max_threads() == thread_share(caller's budget, size(), r)
+  /// (hpc/thread_budget.hpp).
   void run(const std::function<void(Comm&)>& fn);
 
   /// High-water mark of messages queued in any single mailbox since

@@ -75,9 +75,9 @@ void ShardedEngine::advance_ensemble(real duration) {
     auto& slot = engines_[static_cast<std::size_t>(r)];
     if (!slot) slot = ens_.make_shard_engines();
     const MemberBlock b = block_of(r);
-    const double c0 = util::thread_cpu_seconds();
+    const double c0 = util::team_cpu_seconds();
     if (b.m1 > b.m0) ens_.advance_block(duration, b.m0, b.m1, *slot);
-    cpu[static_cast<std::size_t>(r)] = util::thread_cpu_seconds() - c0;
+    cpu[static_cast<std::size_t>(r)] = util::team_cpu_seconds() - c0;
   });
   // Exactly one clock commit, on the staged-API calling thread.
   ens_.commit_advance(duration);
@@ -120,14 +120,14 @@ letkf::AnalysisStats ShardedEngine::analyze(const letkf::ObsVector& obs_in) {
     double cpu = 0;
 
     // ---- Stage 1: member-side H(x) for this rank's block.
-    double c0 = util::thread_cpu_seconds();
+    double c0 = util::team_cpu_seconds();
     Buffer hx_mine;
     for (int m = blk.m0; m < blk.m1; ++m) {
       const std::vector<real> hm =
           letkf::Letkf::member_hx(ens_.member(m), obs_in, op_);
       io::append_raw(hx_mine, hm.data(), hm.size());
     }
-    cpu += util::thread_cpu_seconds() - c0;
+    cpu += util::team_cpu_seconds() - c0;
 
     // ---- Stage 2: all-to-all H(x).  Every rank assembles the identical
     // hx[n*k + m] table from blocks received in rank order, so the QC pass
@@ -150,9 +150,9 @@ letkf::AnalysisStats ShardedEngine::analyze(const letkf::ObsVector& obs_in) {
     }
 
     // ---- Stage 3: replicated QC + obs-space statistics.
-    c0 = util::thread_cpu_seconds();
+    c0 = util::team_cpu_seconds();
     const letkf::PreparedObs prep = letkf_.prepare(obs_in, hx, k);
-    cpu += util::thread_cpu_seconds() - c0;
+    cpu += util::team_cpu_seconds() - c0;
     if (r == 0) prep_stats = prep.stats;
     if (prep.obs.empty()) {
       // Consistent on every rank (identical hx bytes): all skip together.
@@ -193,7 +193,7 @@ letkf::AnalysisStats ShardedEngine::analyze(const letkf::ObsVector& obs_in) {
     }
 
     // ---- Stage 5: windowed LETKF over this rank's tile.
-    c0 = util::thread_cpu_seconds();
+    c0 = util::team_cpu_seconds();
     letkf::EnsembleSlab slab;
     slab.x0 = layout.x0;
     slab.y0 = layout.y0;
@@ -202,7 +202,7 @@ letkf::AnalysisStats ShardedEngine::analyze(const letkf::ObsVector& obs_in) {
     tallies[rs] =
         letkf_.analyze_window(prep, slab, layout.x0, layout.x0 + layout.nx,
                               layout.y0, layout.y0 + layout.ny);
-    cpu += util::thread_cpu_seconds() - c0;
+    cpu += util::team_cpu_seconds() - c0;
 
     // ---- Stage 6: message-passing halo refresh of the analyzed tiles —
     // the distributed replacement for the serial fill_halos_periodic.

@@ -29,8 +29,9 @@
 //  - RNG: the engine draws no random numbers; all draws stay on the staged
 //    API's calling thread (workflow/cycle.hpp discipline).
 //
-// Metrics (docs/SHARDING.md schema): per-rank thread-CPU timers
-// "shard.advance" / "shard.analysis" and their per-cycle max-over-ranks
+// Metrics (docs/SHARDING.md schema): per-rank CPU timers over the rank's
+// whole OpenMP team (util::team_cpu_seconds) "shard.advance" /
+// "shard.analysis" and their per-cycle max-over-ranks
 // "shard.advance_max" / "shard.analysis_max" (the node-exclusive TTS
 // projection on an oversubscribed host), wall timer "shard.halo", and
 // counter "shard.shuffle_bytes" (member<->domain bytes crossing ranks).

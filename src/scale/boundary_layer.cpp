@@ -46,24 +46,41 @@ BoundaryLayer::BoundaryLayer(const Grid& grid, PblParams params)
 }
 
 void BoundaryLayer::step(State& s, real dt) {
+  // Cell-centre winds of every column, taken before any column mixes.
+  // s.u/s.v average in the faces momx(i-1)/momy(j-1) that the neighbouring
+  // columns' momentum mixing rewrites, so reading them inside the column
+  // loop made the result depend on the loop order and the team size.
+  const idx nx = s.nx, ny = s.ny, nz = s.nz;
+  std::vector<real> uv(static_cast<std::size_t>(2 * nx * ny * nz));
+#pragma omp parallel for collapse(2)
+  for (idx i = 0; i < nx; ++i)
+    for (idx j = 0; j < ny; ++j) {
+      real* col = &uv[static_cast<std::size_t>((i * ny + j) * 2 * nz)];
+      for (idx k = 0; k < nz; ++k) {
+        col[k] = s.u(i, j, k);
+        col[nz + k] = s.v(i, j, k);
+      }
+    }
   if (params_.kernel_path == KernelPath::kReference)
-    step_ref(s, dt);
+    step_ref(s, dt, uv);
   else
-    step_opt(s, dt);
+    step_opt(s, dt, uv);
 }
 
-void BoundaryLayer::step_opt(State& s, real dt) {
+void BoundaryLayer::step_opt(State& s, real dt, const std::vector<real>& uv) {
   const idx nx = s.nx, ny = s.ny, nz = s.nz;
   const PblParams& P = params_;
 
 #pragma omp parallel
   {
     const auto n = static_cast<std::size_t>(nz);
-    std::vector<real> km(n), kh(n), uc(n), vc(n), thc(n);
+    std::vector<real> km(n), kh(n), thc(n);
     std::vector<real> m(n), btil(n), cvec(n), d(n);
 #pragma omp for collapse(2)
     for (idx i = 0; i < nx; ++i)
       for (idx j = 0; j < ny; ++j) {
+        const real* uc = &uv[static_cast<std::size_t>((i * ny + j) * 2 * nz)];
+        const real* vc = uc + nz;
         real* tk = tke_.column_ptr(i, j);
         const real* de = s.dens.column_ptr(i, j);
         real* rt = s.rhot.column_ptr(i, j);
@@ -79,13 +96,9 @@ void BoundaryLayer::step_opt(State& s, real dt) {
           km[ks] = std::min(P.sm * lmix_[ks] * se, P.k_max);
           kh[ks] = std::min(P.sh * lmix_[ks] * se, P.k_max);
         }
-        // --- cell-center columns (each level derived once, used twice).
-        for (idx k = 0; k < nz; ++k) {
-          const auto ks = static_cast<std::size_t>(k);
-          uc[ks] = s.u(i, j, k);
-          vc[ks] = s.v(i, j, k);
-          thc[ks] = s.theta(i, j, k);
-        }
+        // --- cell-center theta column (derived once, used twice).
+        for (idx k = 0; k < nz; ++k)
+          thc[static_cast<std::size_t>(k)] = s.theta(i, j, k);
         // --- TKE sources: shear and buoyancy from vertical gradients.
         for (idx k = 0; k < nz; ++k) {
           const auto ks = static_cast<std::size_t>(k);

@@ -35,7 +35,8 @@ class BoundaryLayer {
  public:
   BoundaryLayer(const Grid& grid, PblParams params = {});
 
-  /// March TKE and apply vertical mixing over dt.
+  /// March TKE and apply vertical mixing over dt.  Shear production uses
+  /// the cell-centre winds as they were when the step began.
   void step(State& s, real dt);
 
   /// Inject surface-flux forcing into the lowest-level TKE (called by the
@@ -49,12 +50,14 @@ class BoundaryLayer {
 
  private:
   // Seed per-column path (boundary_layer_ref.cpp), the bitwise reference.
-  void step_ref(State& s, real dt);
+  // `uv` holds each column's pre-step cell-centre u then v (nz each), at
+  // offset (i * ny + j) * 2 * nz.
+  void step_ref(State& s, real dt, const std::vector<real>& uv);
   // Restructured path: per-level mixing-length constants hoisted to the
-  // ctor, cell-center velocity/theta columns hoisted, and one tridiagonal
+  // ctor, cell-center theta column hoisted, and one tridiagonal
   // factorization shared by all right-hand sides that use the same
   // diffusivity set (boundary_layer.cpp).
-  void step_opt(State& s, real dt);
+  void step_opt(State& s, real dt, const std::vector<real>& uv);
 
   const Grid& grid_;
   PblParams params_;

@@ -3,7 +3,9 @@
 // The only deliberate change from the seed is the column scratch sizing:
 // the seed used fixed real[256] stack arrays for km/kh and the tridiagonal
 // rows, a silent stack smash for nz > 256 (regression-tested with nz = 300
-// under ASan).  The arithmetic is unchanged.
+// under ASan) and the cell-centre winds, which come from the pre-step
+// snapshot BoundaryLayer::step takes for both paths (the seed read s.u/s.v
+// while neighbouring columns rewrote the faces they average).
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -14,7 +16,7 @@ namespace bda::scale {
 
 using C = Constants<real>;
 
-void BoundaryLayer::step_ref(State& s, real dt) {
+void BoundaryLayer::step_ref(State& s, real dt, const std::vector<real>& uv) {
   const idx nx = s.nx, ny = s.ny, nz = s.nz;
   const PblParams& P = params_;
   constexpr real kappa = 0.4f;  // von Karman
@@ -27,6 +29,8 @@ void BoundaryLayer::step_ref(State& s, real dt) {
 #pragma omp for collapse(2)
     for (idx i = 0; i < nx; ++i)
       for (idx j = 0; j < ny; ++j) {
+        const real* u0 = &uv[static_cast<std::size_t>((i * ny + j) * 2 * nz)];
+        const real* v0 = u0 + nz;
         // --- mixing coefficients from current TKE
         for (idx k = 0; k < nz; ++k) {
           const real z = grid_.zc(k);
@@ -42,8 +46,8 @@ void BoundaryLayer::step_ref(State& s, real dt) {
           real shear2 = 0, n2 = 0;
           if (k > 0 && k + 1 < nz) {
             const real rdz = real(1) / (grid_.zc(k + 1) - grid_.zc(k - 1));
-            const real dudz = (s.u(i, j, k + 1) - s.u(i, j, k - 1)) * rdz;
-            const real dvdz = (s.v(i, j, k + 1) - s.v(i, j, k - 1)) * rdz;
+            const real dudz = (u0[k + 1] - u0[k - 1]) * rdz;
+            const real dvdz = (v0[k + 1] - v0[k - 1]) * rdz;
             shear2 = dudz * dudz + dvdz * dvdz;
             const real th = s.theta(i, j, k);
             n2 = (C::grav / th) *

@@ -10,7 +10,9 @@ namespace bda::scale {
 using C = Constants<real>;
 
 Surface::Surface(const Grid& grid, SurfaceParams params)
-    : grid_(grid), params_(params) {}
+    : grid_(grid), params_(params),
+      wind_(static_cast<std::size_t>(grid.nx()) *
+            static_cast<std::size_t>(grid.ny())) {}
 
 real Surface::stability_factor_momentum(real rib) {
   // Beljaars-Holtslag (1991)-inspired damping on the stable side; Dyer-type
@@ -46,13 +48,25 @@ void Surface::step(State& s, real dt, BoundaryLayer* pbl,
       params_.diurnal_amp *
           std::sin(real(2.0 * M_PI) * (time_of_day_s - 21600.0f) / 86400.0f);
 
+  // Pass 1: cell-centre wind speed of the lowest level.  s.u/s.v average
+  // the neighbouring faces momx(i-1)/momy(j-1), which pass 2 rescales, so
+  // every wind is read before any drag is applied — the result does not
+  // depend on the loop order or the team size.
+#pragma omp parallel for collapse(2)
+  for (idx i = 0; i < nx; ++i)
+    for (idx j = 0; j < ny; ++j) {
+      const real u1 = s.u(i, j, 0);
+      const real v1 = s.v(i, j, 0);
+      wind_[static_cast<std::size_t>(i * ny + j)] =
+          std::max(std::sqrt(u1 * u1 + v1 * v1), real(0.1));
+    }
+
+  // Pass 2: drag and surface fluxes, each cell writing only itself.
 #pragma omp parallel for collapse(2)
   for (idx i = 0; i < nx; ++i)
     for (idx j = 0; j < ny; ++j) {
       const real dens = s.dens(i, j, 0);
-      const real u1 = s.u(i, j, 0);
-      const real v1 = s.v(i, j, 0);
-      const real wind = std::max(std::sqrt(u1 * u1 + v1 * v1), real(0.1));
+      const real wind = wind_[static_cast<std::size_t>(i * ny + j)];
       const real th1 = s.theta(i, j, 0);
       const real pres = s.pressure(i, j, 0);
       const real exner = std::pow(pres / C::pres00, C::kappa);

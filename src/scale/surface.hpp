@@ -9,6 +9,8 @@
 // production in the boundary-layer scheme.
 #pragma once
 
+#include <vector>
+
 #include "scale/boundary_layer.hpp"
 #include "scale/grid.hpp"
 #include "scale/state.hpp"
@@ -28,7 +30,9 @@ class Surface {
   Surface(const Grid& grid, SurfaceParams params = {});
 
   /// Apply surface fluxes over dt; optionally feed TKE production to `pbl`.
-  /// `time_of_day_s` drives the diurnal cycle when diurnal_amp > 0.
+  /// `time_of_day_s` drives the diurnal cycle when diurnal_amp > 0.  `s`
+  /// lives on the engine's grid.  Every cell's drag uses the winds as they
+  /// were when the step began.
   void step(State& s, real dt, BoundaryLayer* pbl = nullptr,
             real time_of_day_s = 43200.0f);
 
@@ -40,6 +44,7 @@ class Surface {
  private:
   const Grid& grid_;
   SurfaceParams params_;
+  std::vector<real> wind_;  ///< lowest-level wind speed at i * ny + j
 };
 
 }  // namespace bda::scale

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
+
+#include <omp.h>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <ctime>
@@ -20,6 +23,16 @@ double thread_cpu_seconds() {
 #endif
   const auto now = std::chrono::steady_clock::now().time_since_epoch();
   return std::chrono::duration<double>(now).count();
+}
+
+double team_cpu_seconds() {
+  std::vector<double> cpu(static_cast<std::size_t>(omp_get_max_threads()),
+                          0.0);
+#pragma omp parallel
+  cpu[static_cast<std::size_t>(omp_get_thread_num())] = thread_cpu_seconds();
+  double sum = 0;
+  for (const double c : cpu) sum += c;
+  return sum;
 }
 
 void Metrics::count(const std::string& name, std::uint64_t n) {

@@ -36,6 +36,13 @@ namespace bda::util {
 /// projection.  See docs/SHARDING.md.
 double thread_cpu_seconds();
 
+/// thread_cpu_seconds() summed over the calling thread's OpenMP team (the
+/// calling thread plus the workers its parallel regions run on).  A rank
+/// whose kernels run a team of N threads spends N threads' CPU; only this
+/// sum charges all of it to the rank.  Differences of two calls from the
+/// same thread at the same team size are the team's CPU in between.
+double team_cpu_seconds();
+
 /// Summary of one named timer series (all durations in seconds).
 struct TimerStats {
   std::size_t count = 0;

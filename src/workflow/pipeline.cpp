@@ -3,6 +3,7 @@
 #include <future>
 #include <utility>
 
+#include "hpc/thread_budget.hpp"
 #include "serve/publisher.hpp"
 #include "workflow/products.hpp"
 
@@ -13,6 +14,7 @@ PipelinedDriver::PipelinedDriver(BdaSystem& sys, PipelineConfig cfg,
     : sys_(sys), cfg_(cfg), metrics_(metrics),
       t0_(std::chrono::steady_clock::now()) {
   if (cfg_.n_groups < 1) cfg_.n_groups = 1;
+  split_ = hpc::split_with_spawner(omp_get_max_threads(), cfg_.n_groups);
   {
     std::lock_guard<std::mutex> lock(mu_);
     groups_.resize(static_cast<std::size_t>(cfg_.n_groups));
@@ -32,6 +34,7 @@ PipelinedDriver::~PipelinedDriver() {
 }
 
 void PipelinedDriver::worker(int g) {
+  omp_set_num_threads(split_.each);
   const auto gi = static_cast<std::size_t>(g);
   for (;;) {
     std::unique_ptr<Job> job;
@@ -63,6 +66,7 @@ void PipelinedDriver::worker(int g) {
     rec.t_done_s = t_done;
     rec.tts_s = t_done - job->t_obs_s;
     rec.n_maps = maps.size();
+    rec.threads = omp_get_max_threads();
     if (metrics_) metrics_->observe("pipeline.tts", rec.tts_s);
 
     {
@@ -108,6 +112,9 @@ void PipelinedDriver::submit_product(std::size_t cycle, double t_obs_s) {
 }
 
 std::vector<CycleResult> PipelinedDriver::run(std::size_t n_cycles) {
+  // The forecast workers hold their shares of the budget; the cycle keeps
+  // the rest until run() returns or throws.
+  const hpc::ScopedThreadBudget budget(split_.keep);
   std::vector<CycleResult> results;
   results.reserve(n_cycles);
 

@@ -19,6 +19,13 @@
 // are bitwise identical to serial BdaSystem::cycle() (the RNG discipline is
 // documented on the staged API in cycle.hpp).
 //
+// Thread budget (hpc/thread_budget.hpp): the constructing thread's OpenMP
+// budget is split once — each worker runs its forecasts at
+// total/(n_groups+1) threads and the main thread keeps the rest for the
+// length of run(), restoring the caller's setting on the way out — so the
+// cycle and the forecasts share the cores instead of each starting a
+// host-sized team.
+//
 // All cross-thread state is BDA_GUARDED_BY(mu_); the stress test runs this
 // under TSan (see tests/workflow/test_pipeline.cpp).
 #pragma once
@@ -31,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "hpc/thread_budget.hpp"
 #include "util/annotations.hpp"
 #include "util/metrics.hpp"
 #include "workflow/cycle.hpp"
@@ -85,6 +93,7 @@ struct ProductRecord {
   double t_done_s = 0;      ///< maps written (wall)
   double tts_s = 0;         ///< t_done_s - t_obs_s
   std::size_t n_maps = 0;   ///< reflectivity maps produced
+  int threads = 0;          ///< OpenMP team size the forecast ran with
 };
 
 class PipelinedDriver {
@@ -148,6 +157,7 @@ class PipelinedDriver {
   PipelineConfig cfg_;
   util::Metrics* metrics_;
   std::chrono::steady_clock::time_point t0_;
+  hpc::SpawnerSplit split_;  ///< set before the workers start, then const
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_ BDA_CV_OF(mu_);  ///< wakes workers on

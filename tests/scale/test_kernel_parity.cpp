@@ -6,7 +6,10 @@
 //   - sedimentation and boundary-layer column scratch was real[256] on the
 //     stack, a silent smash for nz > 256 (TallColumn tests; fail under ASan
 //     on the pre-fix code);
-//   - State::total_mass/total_water are now bitwise thread-count invariant.
+//   - State::total_mass/total_water are now bitwise thread-count invariant;
+//   - Surface::step and BoundaryLayer::step read the faces momx(i-1)/
+//     momy(j-1) through s.u/s.v while the same parallel loop rewrote them,
+//     so their results depended on the team size (ThreadCountInvariance).
 // The parity contract itself is documented in docs/SCALE_KERNELS.md.
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "scale/boundary_layer.hpp"
 #include "scale/microphysics.hpp"
 #include "scale/model.hpp"
+#include "scale/surface.hpp"
 #include "scale/turbulence.hpp"
 
 namespace bda::scale {
@@ -350,6 +354,104 @@ TEST(StateSums, BitwiseInvariantAcrossThreadCounts) {
               std::bit_cast<std::uint64_t>(water[c]))
         << "total_water with " << counts[c] << " threads";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Team-size invariance: serial == sharded == pipelined holds bitwise only if
+// every kernel gives the same bits at every OpenMP team size, because ranks
+// and forecast workers run smaller teams than the serial cycle
+// (hpc/thread_budget.hpp).
+
+// Wind sheared in all three directions: neighbouring drag factors differ
+// and the boundary layer's vertical mixing rewrites every momentum column.
+void add_shear(State& s) {
+  for (idx i = 0; i < s.nx; ++i)
+    for (idx j = 0; j < s.ny; ++j)
+      for (idx k = 0; k < s.nz; ++k) {
+        const real dens = s.dens(i, j, k);
+        s.momx(i, j, k) =
+            dens * (4.0f + 0.7f * real(i) - 0.3f * real(j) + 0.9f * real(k));
+        s.momy(i, j, k) =
+            dens * (-2.0f + 0.5f * real(j) + 0.2f * real(i) - 0.6f * real(k));
+      }
+  s.fill_halos_periodic();
+}
+
+TEST(ThreadCountInvariance, SurfaceStepBitwise) {
+  Grid g(16, 12, 10, 500.0f, 6000.0f);
+  State base = storm_state(g, convective_sounding());
+  seed_hydrometeors(base);
+  add_shear(base);
+
+  const int save = omp_get_max_threads();
+  auto run = [&](int threads) {
+    omp_set_num_threads(threads);
+    State s = base;
+    Surface sfc(g, {});
+    for (int n = 0; n < 4; ++n) {
+      sfc.step(s, 2.0f);
+      s.fill_halos_periodic();
+    }
+    return s;
+  };
+  const State one = run(1);
+  const State four = run(4);
+  omp_set_num_threads(save);
+  expect_state_bitwise(one, four);
+}
+
+// Same race in the boundary layer: shear production read s.u/s.v while
+// neighbouring columns' momentum mixing rewrote the faces they average.
+TEST(ThreadCountInvariance, BoundaryLayerStepBitwise) {
+  Grid g(32, 16, 40, 250.0f, 8000.0f);
+  State base = storm_state(g, convective_sounding());
+  add_shear(base);
+
+  const int save = omp_get_max_threads();
+  for (KernelPath path : {KernelPath::kOptimized, KernelPath::kReference}) {
+    PblParams params;
+    params.kernel_path = path;
+    auto run = [&](int threads) {
+      omp_set_num_threads(threads);
+      State s = base;
+      BoundaryLayer pbl(g, params);
+      // Turbulent enough that the mixing moves momentum by more than an ulp.
+      for (real& e : pbl.tke().raw()) e = 2.0f;
+      for (int n = 0; n < 4; ++n) {
+        pbl.step(s, 6.0f);
+        s.fill_halos_periodic();
+      }
+      return s;
+    };
+    const State one = run(1);
+    const State four = run(4);
+    expect_state_bitwise(one, four);
+  }
+  omp_set_num_threads(save);
+}
+
+TEST(ThreadCountInvariance, ModelWithMicroAndSurfaceBitwise) {
+  Grid g(12, 12, 12, 500.0f, 6000.0f);
+  Sounding snd = convective_sounding();
+  ModelConfig cfg;
+  cfg.physics_every = 2;
+  cfg.enable_micro = true;
+  cfg.enable_sfc = true;
+
+  const int save = omp_get_max_threads();
+  auto run = [&](int threads) {
+    omp_set_num_threads(threads);
+    Model m(g, snd, cfg);
+    add_thermal_bubble(m.state(), g, 3000, 3000, 1200, 1000, 600, 2.0f);
+    seed_hydrometeors(m.state());
+    add_shear(m.state());
+    for (int n = 0; n < 8; ++n) m.step();
+    return m.state();
+  };
+  const State one = run(1);
+  const State four = run(4);
+  omp_set_num_threads(save);
+  expect_state_bitwise(one, four);
 }
 #endif
 
