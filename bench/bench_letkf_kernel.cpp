@@ -1,18 +1,18 @@
 // Microbench of the LETKF weight kernel: per-gridpoint baseline vs the
-// batched column solver (KeDV-style batching + exact weight reuse).
+// column solver (exact per-column weight reuse).
 //
 // The paper's cycle spends its analysis time in per-gridpoint k x k
-// eigensolves; KeDV (Kudo & Imamura 2019) batches them for cache locality,
-// and adjacent levels of a column frequently share the exact local-obs
-// signature, letting one weight matrix serve several levels.  This bench
-// measures both effects at the ISSUE's reference point — k = 64 members,
+// eigensolves, and adjacent levels of a column frequently share the exact
+// local-obs signature, letting one weight matrix serve several levels.
+// This bench measures that at the reference point — k = 64 members,
 // 60-level columns, ~96 local obs — on two workloads:
 //   * "reuse":    adjacent level pairs share a bit-identical signature
 //                 (the single-elevation / quantized-vloc scenario), so the
 //                 cache hits 50% of levels;
-//   * "distinct": every level unique — the batching-only floor.
-// Every batched weight matrix is checked bitwise against the per-level
-// letkf_weights reference before any timing is reported.
+//   * "distinct": every level unique — the floor, where the column solver
+//                 can only cost its signature bookkeeping.
+// Every column-solver weight matrix is checked bitwise against the
+// per-level letkf_weights reference before any timing is reported.
 //
 // Output: human-readable table + BENCH_letkf_kernel.json (path overridable
 // as argv[1]) with timers and kernel counters, CI-archived next to
@@ -92,8 +92,7 @@ double now_s() {
       .count();
 }
 
-/// Per-gridpoint baseline: one full letkf_weights per level, no reuse, the
-/// serial (pre-batching) analysis behavior.  Like the real driver, the
+/// Per-gridpoint baseline: one full letkf_weights per level, no reuse.  Like the real driver, the
 /// weight matrix is produced into a reused buffer and consumed in place;
 /// `sink` non-null switches to per-level output capture (verification).
 double run_baseline(const std::vector<Column>& cols, float* sink) {
@@ -112,26 +111,21 @@ double run_baseline(const std::vector<Column>& cols, float* sink) {
   return now_s() - t0;
 }
 
-/// Batched path: the column solver dedupes signatures and runs each
-/// column's unique solves through one solve_batch call.  Weights are
-/// consumed in place (as Letkf::analyze does); `sink` non-null copies each
-/// level's matrix out for the bitwise verification pass.
-double run_batched(const std::vector<Column>& cols, float* sink,
-                   ColumnWeightSolver<float>& solver) {
+/// Column solver path: each level looks its signature up in the column's
+/// cache and solves only on a miss.  Weights are consumed in place (as
+/// Letkf::analyze does); `sink` non-null copies each level's matrix out for
+/// the bitwise verification pass.
+double run_column_solver(const std::vector<Column>& cols, float* sink,
+                         ColumnWeightSolver<float>& solver) {
   const double t0 = now_s();
   std::size_t out = 0;
-  std::vector<std::size_t> slots(kLevels);
   for (const auto& col : cols) {
     solver.begin_column();
-    for (std::size_t l = 0; l < kLevels; ++l) {
-      const auto& lv = col.levels[l];
-      slots[l] = solver.add_level(kLocalObs, lv.ids.data(), lv.rinv.data(),
-                                  lv.y.data(), lv.d.data());
-    }
-    solver.solve();
-    for (std::size_t l = 0; l < kLevels; ++l) {
-      if (!solver.converged(slots[l])) std::abort();
-      const float* src = solver.weights(slots[l]);
+    for (const auto& lv : col.levels) {
+      const std::size_t slot = solver.add_level(
+          kLocalObs, lv.ids.data(), lv.rinv.data(), lv.y.data(), lv.d.data());
+      if (!solver.converged(slot)) std::abort();
+      const float* src = solver.weights(slot);
       if (sink)
         std::copy(src, src + kMembers * kMembers,
                   sink + out * kMembers * kMembers);
@@ -156,20 +150,20 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : "BENCH_letkf_kernel.json";
 
   std::printf("\n=====================================================\n");
-  std::printf("LETKF weight kernel: batched + weight reuse vs baseline\n");
+  std::printf("LETKF weight kernel: column solver vs per-level baseline\n");
   std::printf("  k = %zu members, %zu-level columns, p = %zu local obs,\n",
               kMembers, kLevels, kLocalObs);
-  std::printf("  %zu columns x %d reps; KeDV-style batch (Kudo 2019)\n",
+  std::printf("  %zu columns x %d reps; exact per-column weight reuse\n",
               kColumns, kReps);
   std::printf("=====================================================\n");
 
   bda::util::Metrics metrics;
   const std::size_t n_w = kColumns * kLevels * kMembers * kMembers;
-  std::vector<float> w_base(n_w), w_batch(n_w);
+  std::vector<float> w_base(n_w), w_col(n_w);
 
   struct WorkloadResult {
     const char* name;
-    double base_s, batch_s, hit_rate;
+    double base_s, col_s, hit_rate;
   };
   std::vector<WorkloadResult> results;
 
@@ -180,8 +174,8 @@ int main(int argc, char** argv) {
 
     // Warmup both paths (page in the workload), then correctness gate.
     run_baseline(cols, w_base.data());
-    run_batched(cols, w_batch.data(), solver);
-    const std::size_t bad = count_mismatch(w_base, w_batch);
+    run_column_solver(cols, w_col.data(), solver);
+    const std::size_t bad = count_mismatch(w_base, w_col);
     if (bad != 0) {
       std::printf("FAIL [%s]: %zu weight elements differ from the serial "
                   "reference (bitwise contract broken)\n",
@@ -189,14 +183,14 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    double base_s = 0, batch_s = 0;
+    double base_s = 0, col_s = 0;
     for (int r = 0; r < kReps; ++r) {
       const double tb = run_baseline(cols, nullptr);
-      const double tk = run_batched(cols, nullptr, solver);
+      const double tk = run_column_solver(cols, nullptr, solver);
       base_s += tb;
-      batch_s += tk;
+      col_s += tk;
       metrics.observe(std::string("letkf_kernel.baseline_s.") + name, tb);
-      metrics.observe(std::string("letkf_kernel.batched_s.") + name, tk);
+      metrics.observe(std::string("letkf_kernel.column_s.") + name, tk);
     }
     const double levels_seen = double(solver.cache_hits() +
                                       solver.cache_misses());
@@ -206,24 +200,22 @@ int main(int argc, char** argv) {
                   solver.cache_hits());
     metrics.count(std::string("letkf_kernel.cache_miss.") + name,
                   solver.cache_misses());
-    metrics.count(std::string("letkf_kernel.batches.") + name,
-                  solver.batches());
     metrics.observe(std::string("letkf_kernel.speedup.") + name,
-                    base_s / batch_s);
-    results.push_back({name, base_s, batch_s, hit_rate});
+                    base_s / col_s);
+    results.push_back({name, base_s, col_s, hit_rate});
   }
 
   std::printf("\n%-10s %12s %12s %9s %9s\n", "workload", "baseline[s]",
-              "batched[s]", "speedup", "hit-rate");
+              "column[s]", "speedup", "hit-rate");
   bool pass = true;
   for (const auto& r : results) {
-    const double speedup = r.base_s / r.batch_s;
+    const double speedup = r.base_s / r.col_s;
     std::printf("%-10s %12.4f %12.4f %8.2fx %8.0f%%\n", r.name, r.base_s,
-                r.batch_s, speedup, 100.0 * r.hit_rate);
+                r.col_s, speedup, 100.0 * r.hit_rate);
     if (std::string(r.name) == "reuse" && speedup < 1.5) pass = false;
   }
-  std::printf("\nbitwise check: batched weights == serial reference "
-              "(all %zu matrices)\n", 2 * kColumns * kLevels);
+  std::printf("\nbitwise check: column-solver weights == per-level "
+              "reference (all %zu matrices)\n", 2 * kColumns * kLevels);
   std::printf("acceptance (reuse >= 1.50x): %s\n", pass ? "PASS" : "FAIL");
 
   std::ofstream json(json_path);

@@ -74,7 +74,7 @@ HostCalibration calibrate_host() {
     cal.letkf_points_per_s = ok ? solves / (now_s() - t0) : 0.0;
   }
 
-  // --- serialization throughput (the RAM-copy transport path).
+  // --- serialization throughput (BDF encode + decode of one field).
   {
     Field3D<float> f(32, 32, 32, 0);
     for (idx i = 0; i < 32; ++i)

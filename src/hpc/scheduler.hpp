@@ -10,12 +10,13 @@
 // as long as  n_groups * interval >= runtime  (with the default 4 x 30 s =
 // 120 s = the ~2-minute runtime, exactly the operational balance).
 //
-// The admission policy itself lives in RotatingGroupPool and is shared by
-// every consumer — ForecastScheduler::simulate here, the Fig 5 discrete-
-// event twin (workflow::OperationSimulator) and, in wall-clock form, the
-// real-thread workflow::PipelinedDriver — so drop/queue semantics cannot
-// drift between the model and the implementation (a drift of exactly that
-// kind is how the peak-node accounting bug below went unnoticed).
+// The admission policy lives in RotatingGroupPool: the Fig 5 discrete-
+// event twin (workflow::OperationSimulator) runs it directly and the
+// real-thread workflow::PipelinedDriver mirrors it in wall-clock form, so
+// drop/queue semantics cannot drift between the model and the
+// implementation (a drift of exactly that kind once hid a peak-occupancy
+// accounting bug: occupancy was sampled only on admission, never on a
+// drop).
 #pragma once
 
 #include <cstddef>
@@ -40,10 +41,9 @@ struct GroupAdmission {
 ///
 /// A job arriving at `t_ready` goes to the group that frees up earliest.
 /// If that group is still busy, the job may queue up to `max_wait_s`
-/// (ForecastScheduler uses 0: admission is instantaneous or skipped;
-/// OperationSimulator allows a short wait before a fresher analysis
-/// supersedes the cycle).  Beyond the budget the job is dropped — a gap in
-/// Fig 5, not a delay.
+/// (0: admission is instantaneous or skipped; OperationSimulator allows a
+/// short wait before a fresher analysis supersedes the cycle).  Beyond the
+/// budget the job is dropped — a gap in Fig 5, not a delay.
 class RotatingGroupPool {
  public:
   explicit RotatingGroupPool(int n_groups, double max_wait_s = 0.0);
@@ -72,49 +72,6 @@ class RotatingGroupPool {
   std::vector<double> busy_until_;
   double max_wait_s_ = 0.0;
   int peak_busy_ = 0;
-};
-
-struct SchedulerConfig {
-  int total_nodes = 880;     ///< part <2> partition size
-  int n_groups = 4;          ///< rotating groups
-  double interval_s = 30.0;  ///< forecast initialization cadence
-  double runtime_s = 120.0;  ///< wall time of one 30-min 11-member forecast
-};
-
-struct ForecastJob {
-  double t_init = 0;      ///< analysis time it starts from
-  double t_start = 0;     ///< when a group became available
-  double t_done = 0;      ///< completion (product file written)
-  int group = -1;         ///< which node group ran it
-  bool dropped = false;   ///< no group free at admission time
-  /// Groups busy at the admission instant, counting this job if admitted.
-  /// A dropped job records n_groups: full-partition saturation.
-  int groups_busy = 0;
-};
-
-/// Simulate `n_cycles` admissions (one per interval); returns one JobRecord
-/// per admission in time order.
-class ForecastScheduler {
- public:
-  explicit ForecastScheduler(SchedulerConfig cfg = {});
-
-  /// Reset and simulate from t = 0.  `runtime_of(cycle)` lets the caller
-  /// vary runtimes (e.g. with rain area); pass nullptr for the constant
-  /// cfg.runtime_s.
-  std::vector<ForecastJob> simulate(
-      std::size_t n_cycles, const std::vector<double>* runtimes = nullptr);
-
-  int nodes_per_group() const { return cfg_.total_nodes / cfg_.n_groups; }
-  const SchedulerConfig& config() const { return cfg_; }
-
-  /// Peak simultaneous node usage of the last simulate() call.  Sampled on
-  /// every admission attempt, dropped ones included (a drop means every
-  /// group is busy, i.e. the full partition is in use).
-  int peak_nodes_used() const { return peak_nodes_; }
-
- private:
-  SchedulerConfig cfg_;
-  int peak_nodes_ = 0;
 };
 
 }  // namespace bda::hpc

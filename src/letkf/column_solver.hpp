@@ -1,27 +1,21 @@
-// Per-column batched LETKF weight solver with exact weight reuse.
+// Per-column LETKF weight solver with exact weight reuse.
 //
 // The analysis loop visits one vertical column (i, j) at a time, and
 // adjacent levels of a column usually rank the same local observations —
 // often with bit-identical localization weights (e.g. a single-elevation
 // obs layer seen from vertically symmetric levels, or any quantized
 // vertical-localization scheme).  Recomputing the O(k^3) weight solve per
-// level is then pure waste.  This solver:
-//
-//   1. deduplicates levels by an exact signature — the ranked local-obs
-//      index list plus the bit pattern of the localized inverse variances
-//      (Y rows and innovations are functions of the obs index, so the pair
-//      fully determines the solve inputs);
-//   2. builds the Gram matrix + projected innovations once per unique
-//      signature (letkf_build_gram / letkf_innovation_projection);
-//   3. runs all unique eigendecompositions of the column through ONE
-//      BatchedSymEigen::solve_batch call (the KeDV-style batch), then
-//      assembles each unique weight matrix.
+// level is then pure waste.  This solver deduplicates levels by an exact
+// signature — the ranked local-obs index list plus the bit pattern of the
+// localized inverse variances (Y rows and innovations are functions of the
+// obs index, so the pair fully determines the solve inputs) — and solves
+// only on a miss: insert() runs letkf_weights into the new slot, so the
+// slot's weights are valid as soon as insert() returns.
 //
 // Exactness contract: a cache hit requires byte equality of the signature,
-// and the batched eigensolve is bitwise-identical to the serial path
-// (eigen.hpp), so every level's weights equal a per-level letkf_weights
-// call bit for bit.  Non-convergence is reported per slot and counted —
-// never swallowed.
+// and a miss IS a letkf_weights call, so every level's weights equal a
+// per-level letkf_weights call bit for bit.  Non-convergence is reported
+// per slot and counted — never swallowed.
 #pragma once
 
 #include <cassert>
@@ -59,12 +53,10 @@ class ColumnWeightSolver {
   /// deterministic non-convergence fault knob, default matches tql2).
   ColumnWeightSolver(std::size_t k, std::size_t max_levels, T rtpp_alpha,
                      T rho, int max_ql_iters = 50)
-      : k_(k), max_levels_(max_levels), rtpp_(rtpp_alpha), rho_(rho), ws_(k),
-        a_(max_levels * k * k), eval_(max_levels * k), cd_(max_levels * k),
-        wmat_(max_levels * k * k), ok_(max_levels, std::uint8_t(0)),
-        sig_ids_(max_levels), sig_rinv_(max_levels), sig_hash_(max_levels) {
-    ws_.eig.set_max_ql_iterations(max_ql_iters);
-  }
+      : k_(k), max_levels_(max_levels), rtpp_(rtpp_alpha), rho_(rho),
+        max_ql_iters_(max_ql_iters), ws_(k), wmat_(max_levels * k * k),
+        ok_(max_levels, std::uint8_t(0)), sig_ids_(max_levels),
+        sig_rinv_(max_levels), sig_hash_(max_levels) {}
 
   /// Start a new column: drops the weight cache (signatures are only
   /// comparable within one column's candidate set) but keeps capacity and
@@ -72,14 +64,13 @@ class ColumnWeightSolver {
   void begin_column() {
     n_unique_ = 0;
     n_levels_ = 0;
-    solved_ = false;
   }
 
   /// Probe the cache for a level's signature.  On a hit, registers the
   /// level against the existing slot and returns it — the caller can then
   /// skip gathering Y and d entirely.  Returns npos on a miss.
   std::size_t lookup(std::size_t p, const std::size_t* ids, const T* rinv) {
-    assert(!solved_ && p > 0 && n_levels_ < max_levels_);
+    assert(p > 0 && n_levels_ < max_levels_);
     const std::uint64_t h = signature_hash(p, ids, rinv);
     for (std::size_t u = 0; u < n_unique_; ++u) {
       if (sig_hash_[u] != h || sig_ids_[u].size() != p) continue;
@@ -95,21 +86,22 @@ class ColumnWeightSolver {
   }
 
   /// Register a level whose signature missed the cache: stores the
-  /// signature and stages the Gram matrix and projected innovations for
-  /// the batched solve.  Y is row-major p x k, d length p (as
-  /// letkf_weights).  Returns the new slot.
+  /// signature and solves the slot's weight matrix (letkf_weights).  Y is
+  /// row-major p x k, d length p (as letkf_weights).  Returns the new slot;
+  /// converged()/weights() are valid for it at once.
   std::size_t insert(std::size_t p, const std::size_t* ids, const T* rinv,
                      const T* Y, const T* d) {
-    assert(!solved_ && p > 0 && n_unique_ < max_levels_);
+    assert(p > 0 && n_unique_ < max_levels_);
     const std::size_t u = n_unique_++;
     ++n_levels_;
     ++misses_;
     sig_hash_[u] = signature_hash(p, ids, rinv);
     sig_ids_[u].assign(ids, ids + p);
     sig_rinv_[u].assign(rinv, rinv + p);
-    letkf_build_gram(k_, p, Y, rinv, rho_, ws_.yr, a_.data() + u * k_ * k_);
-    letkf_innovation_projection(k_, p, ws_.yr, d, cd_.data() + u * k_);
-    ok_[u] = 0;
+    const bool conv = letkf_weights(k_, p, Y, d, rinv, rtpp_, rho_, ws_,
+                                    wmat_.data() + u * k_ * k_, max_ql_iters_);
+    ok_[u] = conv ? std::uint8_t(1) : std::uint8_t(0);
+    if (!conv) ++fails_;
     return u;
   }
 
@@ -121,33 +113,15 @@ class ColumnWeightSolver {
     return u != npos ? u : insert(p, ids, rinv, Y, d);
   }
 
-  /// Batched eigensolve of every unique slot (one solve_batch call) and
-  /// weight assembly for the converged ones.  Failed slots stay
-  /// !converged() and are counted in eig_failures().
-  void solve() {
-    assert(!solved_);
-    solved_ = true;
-    if (n_unique_ == 0) return;
-    ++batches_;
-    fails_ += ws_.eig.solve_batch(n_unique_, a_.data(), eval_.data(),
-                                  ok_.data());
-    for (std::size_t u = 0; u < n_unique_; ++u) {
-      if (!ok_[u]) continue;
-      letkf_weights_from_eigen(k_, a_.data() + u * k_ * k_,
-                               eval_.data() + u * k_, cd_.data() + u * k_,
-                               rtpp_, ws_, wmat_.data() + u * k_ * k_);
-    }
-  }
-
-  /// Did slot's eigensolve converge?  (Valid after solve().)
+  /// Did slot's eigensolve converge?
   [[nodiscard]] bool converged(std::size_t slot) const {
-    assert(solved_ && slot < n_unique_);
+    assert(slot < n_unique_);
     return ok_[slot] != 0;
   }
 
-  /// k x k weight matrix of a converged slot (valid after solve()).
+  /// k x k weight matrix of a converged slot.
   const T* weights(std::size_t slot) const {
-    assert(solved_ && slot < n_unique_ && ok_[slot] != 0);
+    assert(slot < n_unique_ && ok_[slot] != 0);
     return wmat_.data() + slot * k_ * k_;
   }
 
@@ -159,7 +133,6 @@ class ColumnWeightSolver {
   // driver aggregates them into AnalysisStats / util::Metrics.
   std::size_t cache_hits() const { return hits_; }
   std::size_t cache_misses() const { return misses_; }
-  std::size_t batches() const { return batches_; }
   std::size_t eig_failures() const { return fails_; }
 
  private:
@@ -173,18 +146,15 @@ class ColumnWeightSolver {
 
   std::size_t k_, max_levels_;
   T rtpp_, rho_;
+  int max_ql_iters_;
   LetkfWorkspace<T> ws_;
-  std::vector<T> a_;     ///< staged Gram matrices -> eigenvectors, per slot
-  std::vector<T> eval_;  ///< eigenvalues per slot
-  std::vector<T> cd_;    ///< projected innovations per slot
-  std::vector<T> wmat_;  ///< assembled weight matrices per slot
+  std::vector<T> wmat_;  ///< solved weight matrices per slot
   std::vector<std::uint8_t> ok_;
   std::vector<std::vector<std::size_t>> sig_ids_;
   std::vector<std::vector<T>> sig_rinv_;
   std::vector<std::uint64_t> sig_hash_;
   std::size_t n_unique_ = 0, n_levels_ = 0;
-  std::size_t hits_ = 0, misses_ = 0, batches_ = 0, fails_ = 0;
-  bool solved_ = false;
+  std::size_t hits_ = 0, misses_ = 0, fails_ = 0;
 };
 
 }  // namespace bda::letkf

@@ -1,35 +1,23 @@
-// Symmetric eigensolvers for the LETKF.
+// Symmetric eigensolver for the LETKF.
 //
 // The LETKF computes, at every analysis grid point, the eigendecomposition
 // of the k x k ensemble-space matrix (k - 1)I + Y^T R^-1 Y — with k = 1000
 // members that is 256 x 256 x 60 decompositions of 1000 x 1000 matrices per
 // 30-second cycle.  The paper replaced the standard LAPACK solver with KeDV
 // (Kudo & Imamura 2019), a cache-efficient batched tridiagonalization for
-// many-core CPUs.  Since no LAPACK is assumed here, both paths are
-// implemented from scratch:
-//   * sym_eigen       — classic Householder tridiagonalization (tred2) +
-//                       implicit-shift QL (tql2), one matrix at a time,
-//                       allocating its own workspace: the "standard solver"
-//                       baseline.
-//   * BatchedSymEigen — the KeDV stand-in: `solve_batch` takes B same-size
-//                       problems in one contiguous block and runs the
-//                       Householder reduction step-interleaved across a
-//                       tile of matrices with preallocated scratch, so the
-//                       tile stays cache-resident through the O(n^3) panel
-//                       updates.  `solve` is the serial reference path.
-// Both are templated on the scalar for the precision ablation.
+// many-core CPUs.  No LAPACK is assumed here: `sym_eigen` is the classic
+// Householder tridiagonalization (tred2) + implicit-shift QL (tql2), one
+// matrix at a time, templated on the scalar for the precision ablation.
 //
-// Determinism contract: tred2 is factored into per-step functions and every
-// entry point (sym_eigen, BatchedSymEigen::solve, ::solve_batch) calls the
-// SAME function instantiations in the same per-matrix order, so the batched
-// results are bitwise-identical to the serial ones — interleaving only
-// reorders work *across* independent matrices, never within one.
+// There is one solve path.  At the ensemble sizes this code runs (k <= 64)
+// a step-interleaved KeDV stand-in measured no faster than the plain
+// per-matrix solve; the analysis instead saves work by not solving at all
+// where a level's weights are already known (column_solver.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -52,80 +40,74 @@ T hypot2(T a, T b) {
   return hi * std::sqrt(T(1) + r * r);
 }
 
-/// tred2 prologue: seed the working diagonal from the last matrix row.
+/// Householder reduction of a real symmetric matrix to tridiagonal form,
+/// accumulating the orthogonal transform.  On input v holds A (row-major,
+/// n x n, symmetric); on output v holds the accumulated orthogonal matrix Q
+/// with A = Q T Q^T, d the diagonal of T and e the subdiagonal (e[0] = 0).
+/// EISPACK tred2.
 template <typename T>
-void tred2_init(std::size_t n, const T* v, T* d) {
+void tred2(std::size_t n, T* v, T* d, T* e) {
   for (std::size_t j = 0; j < n; ++j) d[j] = v[(n - 1) * n + j];
-}
+  for (std::size_t i = n - 1; i > 0; --i) {
+    const std::size_t l = i - 1;
+    T h = T(0), scale = T(0);
+    if (l > 0) {
+      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(d[k]);
+      if (scale == T(0)) {
+        e[i] = d[l];
+        for (std::size_t j = 0; j <= l; ++j) {
+          d[j] = v[l * n + j];
+          v[i * n + j] = T(0);
+          v[j * n + i] = T(0);
+        }
+      } else {
+        for (std::size_t k = 0; k <= l; ++k) {
+          d[k] /= scale;
+          h += d[k] * d[k];
+        }
+        T f = d[l];
+        T g = (f > T(0)) ? -std::sqrt(h) : std::sqrt(h);
+        e[i] = scale * g;
+        h -= f * g;
+        d[l] = f - g;
+        for (std::size_t j = 0; j <= l; ++j) e[j] = T(0);
 
-/// One Householder reduction step of tred2 (row i, counting down from
-/// n - 1 to 1).  d and e are the per-matrix scratch carried across steps;
-/// the step touches only this matrix's data, which is what makes the
-/// batched step-interleaving in BatchedSymEigen bitwise-neutral.
-template <typename T>
-void tred2_step(std::size_t n, std::size_t i, T* v, T* d, T* e) {
-  const std::size_t l = i - 1;
-  T h = T(0), scale = T(0);
-  if (l > 0) {
-    for (std::size_t k = 0; k <= l; ++k) scale += std::abs(d[k]);
-    if (scale == T(0)) {
-      e[i] = d[l];
-      for (std::size_t j = 0; j <= l; ++j) {
-        d[j] = v[l * n + j];
-        v[i * n + j] = T(0);
-        v[j * n + i] = T(0);
+        for (std::size_t j = 0; j <= l; ++j) {
+          f = d[j];
+          v[j * n + i] = f;
+          g = e[j] + v[j * n + j] * f;
+          for (std::size_t k = j + 1; k <= l; ++k) {
+            g += v[k * n + j] * d[k];
+            e[k] += v[k * n + j] * f;
+          }
+          e[j] = g;
+        }
+        f = T(0);
+        for (std::size_t j = 0; j <= l; ++j) {
+          e[j] /= h;
+          f += e[j] * d[j];
+        }
+        const T hh = f / (h + h);
+        for (std::size_t j = 0; j <= l; ++j) e[j] -= hh * d[j];
+        for (std::size_t j = 0; j <= l; ++j) {
+          f = d[j];
+          g = e[j];
+          for (std::size_t k = j; k <= l; ++k)
+            v[k * n + j] -= (f * e[k] + g * d[k]);
+          d[j] = v[l * n + j];
+          v[i * n + j] = T(0);
+        }
       }
     } else {
-      for (std::size_t k = 0; k <= l; ++k) {
-        d[k] /= scale;
-        h += d[k] * d[k];
-      }
-      T f = d[l];
-      T g = (f > T(0)) ? -std::sqrt(h) : std::sqrt(h);
-      e[i] = scale * g;
-      h -= f * g;
-      d[l] = f - g;
-      for (std::size_t j = 0; j <= l; ++j) e[j] = T(0);
-
-      for (std::size_t j = 0; j <= l; ++j) {
-        f = d[j];
-        v[j * n + i] = f;
-        g = e[j] + v[j * n + j] * f;
-        for (std::size_t k = j + 1; k <= l; ++k) {
-          g += v[k * n + j] * d[k];
-          e[k] += v[k * n + j] * f;
-        }
-        e[j] = g;
-      }
-      f = T(0);
-      for (std::size_t j = 0; j <= l; ++j) {
-        e[j] /= h;
-        f += e[j] * d[j];
-      }
-      const T hh = f / (h + h);
-      for (std::size_t j = 0; j <= l; ++j) e[j] -= hh * d[j];
-      for (std::size_t j = 0; j <= l; ++j) {
-        f = d[j];
-        g = e[j];
-        for (std::size_t k = j; k <= l; ++k)
-          v[k * n + j] -= (f * e[k] + g * d[k]);
-        d[j] = v[l * n + j];
-        v[i * n + j] = T(0);
-      }
+      e[i] = d[l];
+      d[l] = v[l * n + l];
+      v[i * n + l] = T(0);
+      v[l * n + i] = T(0);
     }
-  } else {
-    e[i] = d[l];
-    d[l] = v[l * n + l];
-    v[i * n + l] = T(0);
-    v[l * n + i] = T(0);
+    d[i] = h;
   }
-  d[i] = h;
-}
 
-/// tred2 epilogue: accumulate the orthogonal transform into v and finalize
-/// d (diagonal of T) and e (subdiagonal, e[0] = 0).
-template <typename T>
-void tred2_finish(std::size_t n, T* v, T* d, T* e) {
+  // Accumulate the transforms.
   for (std::size_t i = 0; i < n - 1; ++i) {
     v[(n - 1) * n + i] = v[i * n + i];
     v[i * n + i] = T(1);
@@ -147,19 +129,6 @@ void tred2_finish(std::size_t n, T* v, T* d, T* e) {
   }
   v[(n - 1) * n + (n - 1)] = T(1);
   e[0] = T(0);
-}
-
-/// Householder reduction of a real symmetric matrix to tridiagonal form,
-/// accumulating the orthogonal transform.  On input v holds A (row-major,
-/// n x n, symmetric); on output v holds the accumulated orthogonal matrix Q
-/// with A = Q T Q^T, d the diagonal of T and e the subdiagonal (e[0] = 0).
-/// This is the EISPACK tred2 algorithm, split into init/step/finish so the
-/// batched solver can interleave the same steps across matrices.
-template <typename T>
-void tred2(std::size_t n, T* v, T* d, T* e) {
-  tred2_init(n, v, d);
-  for (std::size_t i = n - 1; i > 0; --i) tred2_step(n, i, v, d, e);
-  tred2_finish(n, v, d, e);
 }
 
 /// Implicit-shift QL iteration on the tridiagonal (d, e), rotating the
@@ -249,13 +218,17 @@ bool tql2(std::size_t n, T* v, T* d, T* e, int max_iters = 50) {
 
 }  // namespace detail
 
-/// Standard one-shot solver ("LAPACK-style" baseline): a is the symmetric
-/// input (row-major, n x n) and is overwritten with the eigenvectors (column
-/// j of the output = eigenvector of w[j]); w receives ascending eigenvalues.
-/// Allocates its own scratch each call, as a per-gridpoint LAPACK call
-/// would.  Returns false on (effectively impossible) non-convergence.
+/// Eigendecomposition of the symmetric n x n matrix a (row-major): a is
+/// overwritten with the eigenvectors (column j = eigenvector of w[j]) and w
+/// receives the eigenvalues in ascending order.  `e` is caller-owned
+/// subdiagonal scratch (resized to n, so one vector serves every call).
+/// Returns false if an eigenvalue fails to converge within `max_iters` QL
+/// sweeps — effectively never for the SPD LETKF matrices at the default;
+/// lowering the cap is the deterministic fault-injection knob for the
+/// non-convergence accounting.  Failed solves leave a/w unspecified.
 template <typename T>
-[[nodiscard]] bool sym_eigen(std::size_t n, T* a, T* w) {
+[[nodiscard]] bool sym_eigen(std::size_t n, T* a, T* w, std::vector<T>& e,
+                             int max_iters = 50) {
   if (n == 0) return true;
   if (n == 1) {
     // Trivial case, handled up front: the QL sweep below is a no-op for
@@ -266,101 +239,17 @@ template <typename T>
     a[0] = T(1);
     return true;
   }
-  std::vector<T> e(n);
+  e.resize(n);
   detail::tred2(n, a, w, e.data());
-  return detail::tql2(n, a, w, e.data());
+  return detail::tql2(n, a, w, e.data(), max_iters);
 }
 
-/// Default number of matrices whose Householder steps `solve_batch`
-/// interleaves: at the paper-relevant small k (float, k <= 128) a tile of 8
-/// matrices plus scratch fits mid-level cache, so the reduction sweeps the
-/// tile instead of re-streaming one matrix per call.
-inline constexpr std::size_t kEigenBatchTile = 8;
-
-/// KeDV-style batched solver: preallocated workspace reused across a batch
-/// of same-size problems, with the Householder reduction step-interleaved
-/// across a tile of matrices — the cache-blocking property KeDV exploits on
-/// the A64FX.  The numerics per matrix are exactly the serial
-/// tred2/tql2 pair (same function instantiations, same order), so
-/// `solve_batch` output is bitwise-identical to calling `solve` per matrix.
+/// One-shot form that allocates its own scratch each call, as a
+/// per-gridpoint LAPACK call would (the ablation's "standard solver").
 template <typename T>
-class BatchedSymEigen {
- public:
-  explicit BatchedSymEigen(std::size_t n, std::size_t tile = kEigenBatchTile)
-      : n_(n), tile_(tile == 0 ? 1 : tile), e_(n * (tile == 0 ? 1 : tile)) {}
-
-  std::size_t size() const { return n_; }
-  std::size_t tile() const { return tile_; }
-
-  /// Cap on implicit-QL sweeps per eigenvalue (default 50, as tql2).
-  /// Lowering it far below ~30 is a deterministic fault-injection knob:
-  /// real SPD LETKF matrices then report non-convergence, exercising the
-  /// failure accounting downstream.
-  void set_max_ql_iterations(int iters) { max_ql_iters_ = iters; }
-  int max_ql_iterations() const { return max_ql_iters_; }
-
-  /// Serial reference path: solve one problem (a overwritten with
-  /// eigenvectors, w gets ascending eigenvalues).
-  [[nodiscard]] bool solve(T* a, T* w) {
-    std::uint8_t ok = 1;
-    solve_batch(1, a, w, &ok);
-    return ok != 0;
-  }
-
-  /// Solve `batch` independent n x n problems stored contiguously
-  /// (a: batch * n * n scalars, w: batch * n).  Householder steps run
-  /// interleaved across tiles of `tile()` matrices; the QL iteration stays
-  /// per-matrix (its sweep count is data-dependent).  Returns the number of
-  /// problems that failed to converge; when `ok` is non-null, ok[b] is 1/0
-  /// per problem.  Failed problems leave a/w unspecified — callers must
-  /// check.
-  std::size_t solve_batch(std::size_t batch, T* a, T* w,
-                          std::uint8_t* ok = nullptr) {
-    std::size_t fails = 0;
-    if (n_ == 0) {
-      for (std::size_t b = 0; ok && b < batch; ++b) ok[b] = 1;
-      return 0;
-    }
-    const std::size_t nn = n_ * n_;
-    for (std::size_t base = 0; base < batch; base += tile_) {
-      const std::size_t nb = std::min(tile_, batch - base);
-      if (n_ == 1) {
-        // Trivial size, handled up front (the same guard sym_eigen has):
-        // no QL sweep ever touches e[l + 1] for n = 1.
-        for (std::size_t b = 0; b < nb; ++b) {
-          w[base + b] = a[base + b];
-          a[base + b] = T(1);
-          if (ok) ok[base + b] = 1;
-        }
-        continue;
-      }
-      for (std::size_t b = 0; b < nb; ++b)
-        detail::tred2_init(n_, a + (base + b) * nn, w + (base + b) * n_);
-      // The cache-blocked panel updates: step i runs for every matrix of
-      // the tile before i - 1 starts, keeping the tile resident instead of
-      // streaming each matrix end to end.
-      for (std::size_t i = n_ - 1; i > 0; --i)
-        for (std::size_t b = 0; b < nb; ++b)
-          detail::tred2_step(n_, i, a + (base + b) * nn, w + (base + b) * n_,
-                             e_.data() + b * n_);
-      for (std::size_t b = 0; b < nb; ++b)
-        detail::tred2_finish(n_, a + (base + b) * nn, w + (base + b) * n_,
-                             e_.data() + b * n_);
-      for (std::size_t b = 0; b < nb; ++b) {
-        const bool conv =
-            detail::tql2(n_, a + (base + b) * nn, w + (base + b) * n_,
-                         e_.data() + b * n_, max_ql_iters_);
-        if (!conv) ++fails;
-        if (ok) ok[base + b] = conv ? std::uint8_t(1) : std::uint8_t(0);
-      }
-    }
-    return fails;
-  }
-
- private:
-  std::size_t n_, tile_;
-  std::vector<T> e_;  ///< tile() subdiagonal scratch rows, reused per tile
-  int max_ql_iters_ = 50;
-};
+[[nodiscard]] bool sym_eigen(std::size_t n, T* a, T* w) {
+  std::vector<T> e;
+  return sym_eigen(n, a, w, e);
+}
 
 }  // namespace bda::letkf

@@ -108,13 +108,13 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
   std::size_t grid_updated = 0;
   std::size_t local_obs_count = 0;
   std::size_t eig_fail_levels = 0;
-  std::size_t cache_hits = 0, weight_solves = 0, eig_batches = 0;
+  std::size_t cache_hits = 0, weight_solves = 0;
 
 #pragma omp parallel reduction(+ : grid_updated, local_obs_count,           \
                                    eig_fail_levels, cache_hits,             \
-                                   weight_solves, eig_batches)
+                                   weight_solves)
   {
-    // One column solver per thread: the weight cache + batched eigensolver
+    // One column solver per thread: the weight cache + eigensolver
     // workspace are reused across every column the thread analyzes.  The
     // cache resets per column (begin_column), so its hits/misses depend
     // only on the column — not on which window or thread analyzed it.
@@ -126,12 +126,6 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
     std::vector<std::size_t> ids;
     std::vector<std::pair<real, std::size_t>> ranked;
     std::vector<real> xb(k);
-    struct LevelPlan {
-      idx kk;
-      std::size_t slot;
-      std::size_t p;
-    };
-    std::vector<LevelPlan> plan;
 
 #pragma omp for collapse(2) schedule(dynamic, 4)
     for (idx i = i_lo; i < i_hi; ++i)
@@ -140,10 +134,14 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
         index.query(grid_.xc(i), grid_.yc(j), cutoff_h, cand);
         if (cand.empty()) continue;
 
-        // Pass 1 over the column: rank each level's local obs, dedupe
-        // identical signatures, stage the distinct weight solves.
+        // One pass over the column: per level, rank the local obs, look the
+        // signature up in the column's weight cache (solving it on a miss)
+        // and apply the weights.  The lookup reads only obs-space data
+        // (obs, ymean, yp), never member state, so applying level kk before
+        // probing level kk + 1 cannot change any cache decision.
         solver.begin_column();
-        plan.clear();
+        const idx li = i - slab.x0;
+        const idx lj = j - slab.y0;
         for (idx kk = 0; kk < nz; ++kk) {
           const real zc = grid_.zc(kk);
           if (zc < cfg_.z_min || zc > cfg_.z_max) continue;
@@ -207,31 +205,18 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
             slot = solver.insert(p, ids.data(), rinv_loc.data(),
                                  y_loc.data(), d_loc.data());
           }
-          plan.push_back({kk, slot, p});
-        }
-        if (plan.empty()) continue;
-
-        // One batched eigensolve for every distinct signature of the
-        // column (KeDV-style), then weight assembly per unique slot.
-        solver.solve();
-
-        // Pass 2: apply each level's (possibly shared) weight matrix to
-        // the member fields at local column (i - x0, j - y0).
-        const idx li = i - slab.x0;
-        const idx lj = j - slab.y0;
-        for (const auto& lv : plan) {
-          if (!solver.converged(lv.slot)) {
+          if (!solver.converged(slot)) {
             // Non-convergence leaves the gridpoint un-analyzed; count it
             // (it used to be silently swallowed).
             ++eig_fail_levels;
             continue;
           }
-          const real* W = solver.weights(lv.slot);
-          const idx kk = lv.kk;
+          const real* W = solver.weights(slot);
           ++grid_updated;
-          local_obs_count += lv.p;
+          local_obs_count += p;
 
-          // Apply W to every state variable at (i, j, kk).
+          // Apply the level's (possibly shared) weight matrix to every
+          // state variable at local (i - x0, j - y0, kk).
           auto update = [&](auto&& get, auto&& set) {
             real mean = 0;
             for (std::size_t m = 0; m < k; ++m) {
@@ -289,7 +274,6 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
     // Per-thread kernel accounting, folded by the OpenMP reduction.
     cache_hits += solver.cache_hits();
     weight_solves += solver.cache_misses();
-    eig_batches += solver.batches();
   }
 
   tally.grid_updated = grid_updated;
@@ -297,7 +281,6 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
   tally.eig_fail = eig_fail_levels;
   tally.cache_hits = cache_hits;
   tally.weight_solves = weight_solves;
-  tally.eig_batches = eig_batches;
   return tally;
 }
 
@@ -333,11 +316,9 @@ AnalysisStats Letkf::analyze(scale::Ensemble& ens, const ObsVector& obs_in,
   stats.n_eig_fail = t.eig_fail;
   stats.n_weight_reuse = t.cache_hits;
   stats.n_weight_solved = t.weight_solves;
-  stats.n_eig_batches = t.eig_batches;
   if (t.grid_updated)
     stats.mean_local_obs = double(t.local_obs) / double(t.grid_updated);
   if (metrics_) {
-    metrics_->count("letkf.eig_batches", t.eig_batches);
     metrics_->count("letkf.weight_cache_hit", t.cache_hits);
     metrics_->count("letkf.weight_cache_miss", t.weight_solves);
     metrics_->count("letkf.eig_fail", t.eig_fail);

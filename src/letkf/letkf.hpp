@@ -56,7 +56,6 @@ struct AnalysisStats {
   std::size_t n_eig_fail = 0;
   std::size_t n_weight_reuse = 0;   ///< levels served by the column weight cache
   std::size_t n_weight_solved = 0;  ///< distinct weight solves (cache misses)
-  std::size_t n_eig_batches = 0;    ///< batched eigensolver invocations
   double mean_local_obs = 0.0;     ///< average local obs per updated point
   double mean_abs_innovation = 0.0;
   /// Observation-space moments of the assimilated (post-QC) set, for
@@ -96,7 +95,6 @@ struct WindowTally {
   std::size_t eig_fail = 0;
   std::size_t cache_hits = 0;
   std::size_t weight_solves = 0;
-  std::size_t eig_batches = 0;
 };
 
 class Letkf {
@@ -138,9 +136,8 @@ class Letkf {
   void set_inflation(real rho) { cfg_.infl_rho = rho; }
 
   /// Attach a metrics sink (may be null).  analyze() then records the
-  /// kernel counters "letkf.eig_batches", "letkf.weight_cache_hit",
-  /// "letkf.weight_cache_miss" and "letkf.eig_fail" per call
-  /// (docs/LETKF_KERNEL.md).
+  /// kernel counters "letkf.weight_cache_hit", "letkf.weight_cache_miss"
+  /// and "letkf.eig_fail" per call (docs/LETKF_KERNEL.md).
   void set_metrics(util::Metrics* metrics) { metrics_ = metrics; }
 
  private:

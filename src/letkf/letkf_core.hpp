@@ -18,13 +18,13 @@
 //   W[:,m] = wbar + Wp[:,m]
 // so the analysis member m is  x_m^a = xbar^b + X'b W[:,m].
 //
-// The solve is staged (Gram build -> eigensolve -> weight assembly) so the
-// column-batched driver (column_solver.hpp) can run the eigensolves of many
-// levels through one BatchedSymEigen::solve_batch call; `letkf_weights`
-// composes the same stages serially and is the bitwise reference path.
+// The analysis driver does not solve every level: its per-column weight
+// cache (column_solver.hpp) calls `letkf_weights` only for levels whose
+// exact local-obs signature the column has not seen yet.
 #pragma once
 
-#include <cassert>
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -36,10 +36,10 @@ namespace bda::letkf {
 template <typename T>
 struct LetkfWorkspace {
   explicit LetkfWorkspace(std::size_t k)
-      : a(k * k), q(k * k), pa(k * k), cd(k), wbar(k), tmp(k), eig(k) {}
+      : a(k * k), q(k * k), pa(k * k), cd(k), wbar(k), tmp(k), e(k) {}
   std::vector<T> a, q, pa, cd, wbar, tmp;
   std::vector<T> yr;  ///< p x k scaled-perturbation scratch (grown on use)
-  BatchedSymEigen<T> eig;
+  std::vector<T> e;   ///< eigensolver subdiagonal scratch
 };
 
 /// Build the ensemble-space precision matrix
@@ -51,8 +51,8 @@ struct LetkfWorkspace {
 /// Yr[n,i] = Y[n,i] * rinv[n] rounds exactly like the naive triple product
 /// (left-associated), and each entry keeps a single accumulator over
 /// ascending n, so the blocked build equals the naive loop bitwise.
-/// `yr` is left holding diag(rinv) Y for reuse by
-/// letkf_innovation_projection.
+/// `yr` is left holding diag(rinv) Y for reuse by the innovation
+/// projection in letkf_weights.
 template <typename T>
 void letkf_build_gram(std::size_t k, std::size_t p, const T* Y, const T* rinv,
                       T rho, std::vector<T>& yr, T* A) {
@@ -73,39 +73,35 @@ void letkf_build_gram(std::size_t k, std::size_t p, const T* Y, const T* rinv,
   }
 }
 
-/// cd = Y^T diag(rinv) d, using the prebuilt yr = diag(rinv) Y from
-/// letkf_build_gram (bitwise-equal to forming Y^T rinv d directly, since
-/// the products associate identically).
+/// Compute the k x k LETKF weight matrix W (column m = weights of member m,
+/// mean update included).  Y is row-major p x k; rinv holds the
+/// localization-weighted inverse observation variances.  rho is the
+/// multiplicative covariance inflation (1 = none; the paper relies on RTPP
+/// instead).  `max_iters` caps the QL sweeps of the eigensolve (sym_eigen).
+/// Returns false only on eigensolver non-convergence — callers must count
+/// that, not swallow it (AnalysisStats::n_eig_fail); W is then unspecified.
 template <typename T>
-void letkf_innovation_projection(std::size_t k, std::size_t p,
-                                 const std::vector<T>& yr, const T* d, T* cd) {
+[[nodiscard]] bool letkf_weights(std::size_t k, std::size_t p, const T* Y,
+                                 const T* d, const T* rinv, T rtpp_alpha,
+                                 T rho, LetkfWorkspace<T>& ws, T* W,
+                                 int max_iters = 50) {
+  letkf_build_gram(k, p, Y, rinv, rho, ws.yr, ws.a.data());
+
+  // Eigendecomposition: ws.a is overwritten with the eigenvectors Q and
+  // ws.tmp receives the ascending eigenvalues lambda.
+  const T* evec = ws.a.data();
+  T* eval = ws.tmp.data();
+  if (!sym_eigen(k, ws.a.data(), eval, ws.e, max_iters)) return false;
+
+  // cd = Y^T diag(rinv) d from the prebuilt yr = diag(rinv) Y (bitwise
+  // equal to forming Y^T rinv d directly: the products associate
+  // identically).
   for (std::size_t i = 0; i < k; ++i) {
     T s = T(0);
-    for (std::size_t n = 0; n < p; ++n) s += yr[n * k + i] * d[n];
-    cd[i] = s;
+    for (std::size_t n = 0; n < p; ++n) s += ws.yr[n * k + i] * d[n];
+    ws.cd[i] = s;
   }
-}
-
-/// Assemble the weight matrix W from a solved eigendecomposition of A
-/// (evec: k x k eigenvectors, eval: ascending eigenvalues — floored in
-/// place against round-off) and the projected innovations cd.
-template <typename T>
-void letkf_weights_from_eigen(std::size_t k, const T* evec, T* eval,
-                              const T* cd, T rtpp_alpha, LetkfWorkspace<T>& ws,
-                              T* W) {
-  // The eigenpair buffers must never alias the wbar/pa scratch written
-  // below.  By the solver convention the eigenvectors live in ws.a and the
-  // eigenvalues in ws.tmp — NOT in wbar (a stale comment once claimed wbar
-  // doubled as the eigenvalue array; it never may, wbar is recomputed here
-  // and pa is live scratch).
-  assert(static_cast<const void*>(evec) !=
-         static_cast<const void*>(ws.wbar.data()));
-  assert(static_cast<const void*>(evec) !=
-         static_cast<const void*>(ws.pa.data()));
-  assert(static_cast<const void*>(eval) !=
-         static_cast<const void*>(ws.wbar.data()));
-  assert(static_cast<const void*>(eval) !=
-         static_cast<const void*>(ws.pa.data()));
+  const T* cd = ws.cd.data();
 
   // Guard: A is SPD by construction; clamp tiny eigenvalues against
   // single-precision round-off.
@@ -142,29 +138,6 @@ void letkf_weights_from_eigen(std::size_t k, const T* evec, T* eval,
       if (i == m) wp += rtpp_alpha;
       W[i * k + m] = wp + ws.wbar[i];
     }
-}
-
-/// Compute the k x k LETKF weight matrix W (column m = weights of member m,
-/// mean update included).  Y is row-major p x k; rinv holds the
-/// localization-weighted inverse observation variances.  rho is the
-/// multiplicative covariance inflation (1 = none; the paper relies on RTPP
-/// instead).  Returns false only on eigensolver non-convergence — callers
-/// must count that, not swallow it (AnalysisStats::n_eig_fail).
-template <typename T>
-[[nodiscard]] bool letkf_weights(std::size_t k, std::size_t p, const T* Y, const T* d,
-                   const T* rinv, T rtpp_alpha, T rho,
-                   LetkfWorkspace<T>& ws, T* W) {
-  letkf_build_gram(k, p, Y, rinv, rho, ws.yr, ws.a.data());
-
-  // Eigendecomposition (a is overwritten with eigenvectors; ws.tmp receives
-  // the eigenvalues — wbar/pa stay free for letkf_weights_from_eigen).
-  std::vector<T>& evec = ws.a;
-  std::vector<T>& eval = ws.tmp;
-  if (!ws.eig.solve(evec.data(), eval.data())) return false;
-
-  letkf_innovation_projection(k, p, ws.yr, d, ws.cd.data());
-  letkf_weights_from_eigen(k, evec.data(), eval.data(), ws.cd.data(),
-                           rtpp_alpha, ws, W);
   return true;
 }
 

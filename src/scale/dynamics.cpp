@@ -500,8 +500,8 @@ void Dynamics::hyperdiffusion(const State& in, Tendencies& tend, real nu4) {
 }
 
 // SoA-batched vertical implicit solve: columns are processed in lanes of
-// kImplicitLanes interleaved like BatchedSymEigen::solve_batch, so every
-// level of the Thomas recurrence (division-heavy) runs lane-parallel.  Per
+// kImplicitLanes interleaved structure-of-arrays, so every level of the
+// Thomas recurrence (division-heavy) runs lane-parallel.  Per
 // lane the expression sequence is identical to vertical_implicit_ref.
 void Dynamics::vertical_implicit_opt(const State& s0, const State& in,
                                      const Tendencies& tend, real dts,

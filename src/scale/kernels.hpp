@@ -71,9 +71,9 @@ inline void solve_tridiagonal(std::span<const T> a, std::span<const T> b,
 /// structure-of-arrays: element i of lane l lives at [i * stride + l]
 /// (stride >= nlanes).  The k-recurrence is sequential but every level's
 /// work runs lane-parallel over contiguous memory, so the inner loops
-/// vectorize — the same interleaving BatchedSymEigen::solve_batch uses for
-/// the LETKF eigensolves.  Per lane the arithmetic sequence is identical to
-/// the scalar solve_tridiagonal, so results are bitwise-equal lane by lane.
+/// vectorize: SIMD lanes are columns.  Per lane the arithmetic sequence is
+/// identical to the scalar solve_tridiagonal, so results are bitwise-equal
+/// lane by lane.
 /// Coefficients are const; `cw` is caller scratch of n * stride elements.
 template <typename T>
 inline void solve_tridiagonal_batch(std::size_t n, std::size_t nlanes,

@@ -3,8 +3,8 @@
 // Stands in for the NetCDF files the real system writes: the final forecast
 // product whose file timestamp defines the end of time-to-solution (paper
 // Sec. 6.1, "Measurement mechanism: final product file time stamp"), and the
-// legacy SCALE<->LETKF file transport that the parallel in-memory path
-// replaced.  Little-endian; header carries dims and scalar width.
+// legacy SCALE<->LETKF file exchange that the parallel in-memory path
+// replaced (bench_ablation_io measures the two).  Little-endian; header carries dims and scalar width.
 #pragma once
 
 #include <cstdint>
@@ -100,8 +100,8 @@ void write_bdf(const std::string& path, const std::vector<FieldRecord>& recs);
 /// Read all records; throws std::runtime_error on missing/corrupt file.
 std::vector<FieldRecord> read_bdf(const std::string& path);
 
-/// Serialize to an in-memory buffer (used by the in-memory transport and by
-/// JIT-DT framing tests).
+/// Serialize to an in-memory buffer (used by the host calibration in
+/// hpc::calibrate_host and by the codec tests).
 std::vector<std::uint8_t> encode_bdf(const std::vector<FieldRecord>& recs);
 std::vector<FieldRecord> decode_bdf(const std::vector<std::uint8_t>& buf);
 

@@ -157,8 +157,8 @@ class BdaSystem {
   /// "cycle.ensemble", "cycle.letkf", "cycle.total") and counters
   /// ("cycle.cycles", "cycle.obs") are recorded through it, and the sink
   /// is forwarded to the LETKF for its weight-kernel counters
-  /// ("letkf.eig_batches", "letkf.weight_cache_hit"/"_miss",
-  /// "letkf.eig_fail" — docs/LETKF_KERNEL.md).
+  /// ("letkf.weight_cache_hit"/"_miss", "letkf.eig_fail" —
+  /// docs/LETKF_KERNEL.md).
   void set_metrics(util::Metrics* metrics) {
     metrics_ = metrics;
     letkf_.set_metrics(metrics);

@@ -71,11 +71,10 @@ std::vector<CycleRecord> OperationSimulator::run(std::size_t n_cycles,
     return false;
   };
 
-  // --- forecast scheduler state (rotating groups, part <2>): the same
-  // admission policy object as ForecastScheduler and the PipelinedDriver,
-  // so drop/queue semantics cannot drift between the consumers.
-  hpc::RotatingGroupPool pool(cfg_.scheduler.n_groups,
-                              cfg_.max_forecast_wait_s);
+  // --- forecast admission state (rotating groups, part <2>): the policy
+  // the PipelinedDriver mirrors in wall-clock form, so drop/queue
+  // semantics cannot drift between the two.
+  hpc::RotatingGroupPool pool(cfg_.forecast_groups, cfg_.max_forecast_wait_s);
 
   jitdt::JitDtLink link(cfg_.jitdt);
   const double domain_km2 = 128.0 * 128.0;

@@ -59,8 +59,6 @@ TEST(ColumnWeightSolver, IdenticalSignaturesShareOneSlot) {
   EXPECT_EQ(solver.cache_hits(), 1u);
   EXPECT_EQ(solver.cache_misses(), 1u);
 
-  solver.solve();
-  EXPECT_EQ(solver.batches(), 1u);
   ASSERT_TRUE(solver.converged(s0));
   // Shared slot => literally the same weight matrix storage.
   EXPECT_EQ(solver.weights(s0), solver.weights(s1));
@@ -85,7 +83,6 @@ TEST(ColumnWeightSolver, MatchesPerLevelLetkfWeightsBitwise) {
                                      lv.y.data(), lv.d.data()));
   EXPECT_EQ(solver.n_unique(), 3u);
   EXPECT_EQ(solver.cache_hits(), 2u);
-  solver.solve();
 
   LetkfWorkspace<float> ws(k);
   std::vector<float> w_ref(k * k);
@@ -142,10 +139,8 @@ TEST(ColumnWeightSolver, NonConvergenceIsCountedNotSwallowed) {
   solver.begin_column();
   const std::size_t s = solver.add_level(p, lv.ids.data(), lv.rinv.data(),
                                          lv.y.data(), lv.d.data());
-  solver.solve();
   EXPECT_FALSE(solver.converged(s));
   EXPECT_EQ(solver.eig_failures(), 1u);
-  EXPECT_EQ(solver.batches(), 1u);
 }
 
 TEST(ColumnWeightSolver, BeginColumnResetsCacheButKeepsLifetimeCounters) {
@@ -157,10 +152,9 @@ TEST(ColumnWeightSolver, BeginColumnResetsCacheButKeepsLifetimeCounters) {
   solver.add_level(p, lv.ids.data(), lv.rinv.data(), lv.y.data(),
                    lv.d.data());
   solver.lookup(p, lv.ids.data(), lv.rinv.data());
-  solver.solve();
 
   // New column: the same signature must MISS (cache is per-column) while
-  // hits/misses/batches accumulate across columns.
+  // hits/misses accumulate across columns.
   solver.begin_column();
   EXPECT_EQ(solver.n_levels(), 0u);
   EXPECT_EQ(solver.n_unique(), 0u);
@@ -168,10 +162,51 @@ TEST(ColumnWeightSolver, BeginColumnResetsCacheButKeepsLifetimeCounters) {
             ColumnWeightSolver<float>::npos);
   solver.add_level(p, lv.ids.data(), lv.rinv.data(), lv.y.data(),
                    lv.d.data());
-  solver.solve();
   EXPECT_EQ(solver.cache_hits(), 1u);
   EXPECT_EQ(solver.cache_misses(), 2u);
-  EXPECT_EQ(solver.batches(), 2u);
+}
+
+TEST(ColumnWeightSolver, WeightsReadableRightAfterInsertAndRepeatHitsSlotZero) {
+  // Signature pattern A, B, A in one column: the third level must hit
+  // slot 0, and each slot's weights are final as soon as insert() returns
+  // (no later solve stage), bitwise equal to a per-level letkf_weights.
+  const std::size_t k = 12;
+  const Level a = make_level(k, 9, 21);
+  const Level b = make_level(k, 6, 22, 200);
+  ColumnWeightSolver<float> solver(k, 3, kAlpha, kRho);
+  LetkfWorkspace<float> ws(k);
+  std::vector<float> w_ref(k * k);
+  auto expect_reference = [&](std::size_t slot, const Level& lv) {
+    ASSERT_TRUE(solver.converged(slot));
+    ASSERT_TRUE(letkf_weights(k, lv.p(), lv.y.data(), lv.d.data(),
+                              lv.rinv.data(), kAlpha, kRho, ws,
+                              w_ref.data()));
+    const float* w = solver.weights(slot);
+    for (std::size_t x = 0; x < k * k; ++x) EXPECT_EQ(w[x], w_ref[x]) << x;
+  };
+
+  solver.begin_column();
+  ASSERT_EQ(solver.lookup(a.p(), a.ids.data(), a.rinv.data()),
+            ColumnWeightSolver<float>::npos);
+  const std::size_t sa = solver.insert(a.p(), a.ids.data(), a.rinv.data(),
+                                       a.y.data(), a.d.data());
+  EXPECT_EQ(sa, 0u);
+  expect_reference(sa, a);
+
+  ASSERT_EQ(solver.lookup(b.p(), b.ids.data(), b.rinv.data()),
+            ColumnWeightSolver<float>::npos);
+  const std::size_t sb = solver.insert(b.p(), b.ids.data(), b.rinv.data(),
+                                       b.y.data(), b.d.data());
+  EXPECT_EQ(sb, 1u);
+  expect_reference(sb, b);
+
+  EXPECT_EQ(solver.lookup(a.p(), a.ids.data(), a.rinv.data()), 0u);
+  EXPECT_EQ(solver.n_levels(), 3u);
+  EXPECT_EQ(solver.n_unique(), 2u);
+  EXPECT_EQ(solver.cache_hits(), 1u);
+  EXPECT_EQ(solver.cache_misses(), 2u);
+  // Slot 0 is untouched by the later insert of B.
+  expect_reference(sa, a);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "letkf/eigen.hpp"
@@ -121,31 +122,10 @@ TEST_P(SymEigenSizes, SpdLetkfShapeFloat) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SymEigenSizes,
                          ::testing::Values(2, 3, 5, 8, 16, 33, 64));
 
-TEST(BatchedSymEigen, MatchesOneShotSolver) {
-  const std::size_t n = 16;
-  Rng rng(55);
-  BatchedSymEigen<double> batched(n);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<double> a(n * n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j <= i; ++j) {
-        const double x = rng.normal();
-        a[i * n + j] = x;
-        a[j * n + i] = x;
-      }
-    auto v1 = a, v2 = a;
-    std::vector<double> w1(n), w2(n);
-    ASSERT_TRUE(sym_eigen<double>(n, v1.data(), w1.data()));
-    ASSERT_TRUE(batched.solve(v2.data(), w2.data()));
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(w1[i], w2[i], 1e-10);
-  }
-}
-
-TEST(BatchedSymEigen, WorkspaceReuseDoesNotLeakState) {
-  // Solving problem B after problem A gives the same result as solving B
-  // fresh.
+TEST(SymEigen, WorkspaceReuseDoesNotLeakState) {
+  // Solving problem B after problem A through the same caller scratch gives
+  // the same result as solving B with fresh scratch.
   const std::size_t n = 8;
-  Rng rng(66);
   auto make = [&](std::uint64_t seed) {
     Rng r(seed);
     std::vector<float> a(n * n);
@@ -157,15 +137,15 @@ TEST(BatchedSymEigen, WorkspaceReuseDoesNotLeakState) {
       }
     return a;
   };
-  BatchedSymEigen<float> solver(n);
+  std::vector<float> e;
   auto a1 = make(1), b_after = make(2), b_fresh = make(2);
   std::vector<float> w(n), w_after(n), w_fresh(n);
-  ASSERT_TRUE(solver.solve(a1.data(), w.data()));
-  ASSERT_TRUE(solver.solve(b_after.data(), w_after.data()));
-  BatchedSymEigen<float> fresh(n);
-  ASSERT_TRUE(fresh.solve(b_fresh.data(), w_fresh.data()));
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_FLOAT_EQ(w_after[i], w_fresh[i]);
+  ASSERT_TRUE(sym_eigen<float>(n, a1.data(), w.data(), e));
+  ASSERT_TRUE(sym_eigen<float>(n, b_after.data(), w_after.data(), e));
+  std::vector<float> fresh;
+  ASSERT_TRUE(sym_eigen<float>(n, b_fresh.data(), w_fresh.data(), fresh));
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(w_after[i], w_fresh[i]);
+  for (std::size_t x = 0; x < n * n; ++x) EXPECT_EQ(b_after[x], b_fresh[x]);
 }
 
 TEST(Hypot2, ExtremeMagnitudesSinglePrecision) {
@@ -201,93 +181,40 @@ TEST(Hypot2, MatchesNaiveInSafeRange) {
   }
 }
 
-// Batch sizes the ISSUE singles out: 1 (degenerate), 7 (partial tile) and
-// 60 (a full analysis column, multiple tiles).
-class BatchedSolveSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BatchedSolveSizes, SolveBatchBitwiseMatchesSerialSolve) {
-  const std::size_t batch = GetParam();
-  const std::size_t n = 16;
-  Rng rng(1234 + batch);
-  // LETKF-shaped SPD batch: (n-1)I + Y^T Y per problem.
-  std::vector<float> a(batch * n * n);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const std::size_t p = n + 3;
-    std::vector<float> y(p * n);
-    for (auto& x : y) x = float(rng.normal());
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) {
-        float s = (i == j) ? float(n - 1) : 0.0f;
-        for (std::size_t m = 0; m < p; ++m) s += y[m * n + i] * y[m * n + j];
-        a[b * n * n + i * n + j] = s;
-      }
+TEST(SymEigen, HandlesUnitSizeProblems) {
+  // n = 1 takes the up-front guard: no QL sweep, the eigenvector is
+  // trivially [1], and the caller scratch is never needed.
+  std::vector<double> e;
+  for (const double x : {7.5, -3.5, 0.25}) {
+    std::vector<double> a = {x};
+    std::vector<double> w(1);
+    EXPECT_TRUE(sym_eigen<double>(1, a.data(), w.data(), e));
+    EXPECT_DOUBLE_EQ(w[0], x);
+    EXPECT_DOUBLE_EQ(a[0], 1.0);
   }
-  auto a_serial = a;
-  std::vector<float> w_serial(batch * n), w_batch(batch * n);
-  BatchedSymEigen<float> solver(n);
-  for (std::size_t b = 0; b < batch; ++b)
-    ASSERT_TRUE(solver.solve(a_serial.data() + b * n * n,
-                             w_serial.data() + b * n));
-
-  std::vector<std::uint8_t> ok(batch, 0);
-  BatchedSymEigen<float> batched(n);
-  EXPECT_EQ(batched.solve_batch(batch, a.data(), w_batch.data(), ok.data()),
-            0u);
-  for (std::size_t b = 0; b < batch; ++b) EXPECT_EQ(ok[b], 1);
-  // Bitwise: the batched path runs the same tred2 steps / tql2 sweeps per
-  // matrix, only interleaved across the tile.
-  for (std::size_t x = 0; x < batch * n; ++x)
-    EXPECT_EQ(w_serial[x], w_batch[x]) << "eigenvalue " << x;
-  for (std::size_t x = 0; x < batch * n * n; ++x)
-    EXPECT_EQ(a_serial[x], a[x]) << "eigenvector elem " << x;
 }
 
-INSTANTIATE_TEST_SUITE_P(Batches, BatchedSolveSizes,
-                         ::testing::Values(1, 7, 60));
-
-TEST(BatchedSymEigen, HandlesUnitSizeProblems) {
-  // n = 1 needs the same up-front guard sym_eigen has: no QL sweep, the
-  // eigenvector is trivially [1].
-  BatchedSymEigen<double> solver(1);
-  std::vector<double> a = {7.5};
-  std::vector<double> w(1);
-  EXPECT_TRUE(solver.solve(a.data(), w.data()));
-  EXPECT_DOUBLE_EQ(w[0], 7.5);
-  EXPECT_DOUBLE_EQ(a[0], 1.0);
-
-  std::vector<double> ab = {2.0, -3.5, 0.25};
-  std::vector<double> wb(3);
-  std::vector<std::uint8_t> ok(3, 0);
-  EXPECT_EQ(solver.solve_batch(3, ab.data(), wb.data(), ok.data()), 0u);
-  EXPECT_DOUBLE_EQ(wb[0], 2.0);
-  EXPECT_DOUBLE_EQ(wb[1], -3.5);
-  EXPECT_DOUBLE_EQ(wb[2], 0.25);
-  for (double v : ab) EXPECT_DOUBLE_EQ(v, 1.0);
-  for (auto o : ok) EXPECT_EQ(o, 1);
-}
-
-TEST(BatchedSymEigen, ReportsPerProblemNonConvergence) {
+TEST(SymEigen, ReportsPerProblemNonConvergence) {
   // The QL iteration cap is the deterministic fault knob: with 0 sweeps
   // allowed, any matrix that needs off-diagonal work fails, while a
   // diagonal matrix (subdiagonal exactly zero) still converges.  The
   // failure must be reported per problem, not swallowed.
   const std::size_t n = 8;
   Rng rng(4321);
-  std::vector<double> a(2 * n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) a[i * n + i] = double(i + 1);  // diag
+  std::vector<double> diag(n * n, 0.0), dense(n * n);
+  for (std::size_t i = 0; i < n; ++i) diag[i * n + i] = double(i + 1);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j <= i; ++j) {
       const double x = rng.normal();
-      a[n * n + i * n + j] = x;
-      a[n * n + j * n + i] = x;
+      dense[i * n + j] = x;
+      dense[j * n + i] = x;
     }
-  std::vector<double> w(2 * n);
-  std::vector<std::uint8_t> ok(2, 9);
-  BatchedSymEigen<double> solver(n);
-  solver.set_max_ql_iterations(0);
-  EXPECT_EQ(solver.solve_batch(2, a.data(), w.data(), ok.data()), 1u);
-  EXPECT_EQ(ok[0], 1);  // diagonal: converged without a sweep
-  EXPECT_EQ(ok[1], 0);  // dense random: needs sweeps, must fail
+  auto dense_default = dense;
+  std::vector<double> w(n), e;
+  EXPECT_TRUE(sym_eigen<double>(n, diag.data(), w.data(), e, 0));
+  EXPECT_FALSE(sym_eigen<double>(n, dense.data(), w.data(), e, 0));
+  // The same scratch then solves the dense matrix at the default cap.
+  EXPECT_TRUE(sym_eigen<double>(n, dense_default.data(), w.data(), e));
 }
 
 TEST(SymEigen, RepeatedEigenvaluesHandled) {

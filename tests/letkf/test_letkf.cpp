@@ -235,16 +235,12 @@ TEST(Letkf, BatchAndReuseStatsArePopulated) {
   ASSERT_GT(stats.n_grid_updated, 0u);
   EXPECT_EQ(stats.n_eig_fail, 0u);
   // Every analyzed level either solved a fresh weight matrix or reused a
-  // cached one, and every column with work ran at least one batch.
+  // cached one.
   EXPECT_GT(stats.n_weight_solved, 0u);
-  EXPECT_GT(stats.n_eig_batches, 0u);
-  EXPECT_GE(stats.n_grid_updated,
-            stats.n_eig_batches);  // >= one level per batched column
   EXPECT_EQ(metrics.counter("letkf.weight_cache_miss"),
             stats.n_weight_solved);
   EXPECT_EQ(metrics.counter("letkf.weight_cache_hit"),
             stats.n_weight_reuse);
-  EXPECT_EQ(metrics.counter("letkf.eig_batches"), stats.n_eig_batches);
 }
 
 TEST(Letkf, StatsReportInnovationMagnitude) {

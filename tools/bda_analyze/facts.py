@@ -272,8 +272,8 @@ def _split_top_level(args: str) -> list[str]:
 def status_function_index(header_texts: dict[str, str]) -> dict:
     """name -> list of {header, min_arity, max_arity} for every bool/status-
     returning function declared in the given headers.  Arity matters: a
-    discarded `solver.solve()` must not match `BatchedSymEigen::solve(a, w)`
-    just because the names collide."""
+    discarded void `x.solve()` must not match a bool `solve(a, w)` declared
+    in another header just because the names collide."""
     index: dict[str, list[dict]] = {}
     for rel, text in header_texts.items():
         code = cpplex.strip_code(text)

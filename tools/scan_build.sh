@@ -30,7 +30,7 @@ mkdir -p "${out}"
 # --status-bugs: non-zero exit when the analyzer reports anything, which is
 # what lets CI gate on it.  The checkers mirror the repo's failure classes:
 # core plus the security/unix memory checkers that catch the manual-buffer
-# code in the transport layer.
+# code in the serialization and pack/unpack exchange paths.
 scan-build --status-bugs -o "${out}" \
     -enable-checker core \
     -enable-checker unix.Malloc \
