@@ -1,17 +1,20 @@
-// SCALE kernel raw-speed bench: optimized (SoA/SIMD) paths vs the serial
-// seed reference, per kernel and end-to-end.
+// SCALE kernel raw-speed bench: the production (SoA/SIMD) kernels vs the
+// serial seed kernels, per kernel and end-to-end.
 //
-// Every optimized kernel in src/scale carries a bitwise determinism
-// contract: KernelPath::kOptimized must produce byte-identical prognostic
-// state to KernelPath::kReference (the pre-PR-10 seed loops, preserved
-// verbatim in *_ref.cpp).  This bench enforces the contract BEFORE any
-// timing is reported — a single differing byte in any field fails the run
-// with a nonzero exit — then times each kernel (dynamics, microphysics,
-// turbulence, boundary layer) and the end-to-end ensemble advance on a
-// mature convective storm at the Table 3 column geometry.
+// Every production kernel in src/scale carries a bitwise determinism
+// contract: it must produce byte-identical prognostic state to its seed
+// counterpart in scale::seed (the per-point loops the restructuring
+// replaced, preserved verbatim in src/scale/seed/ and linked from the
+// bda_scale_seed oracle library, which no production target links).  This
+// bench enforces the contract BEFORE any timing is reported — a single
+// differing byte in any field fails the run with a nonzero exit — then times
+// each kernel (dynamics, microphysics, turbulence, boundary layer) and the
+// end-to-end ensemble advance (scale::Ensemble vs seed::Runner, same member
+// order and engine sharing) on a mature convective storm at the Table 3
+// column geometry.
 //
 // Acceptance gate: end-to-end ensemble advance speedup >= 2.00x over the
-// reference kernels.  Below the gate the bench exits nonzero so CI fails.
+// seed kernels.  Below the gate the bench exits nonzero so CI fails.
 //
 // Output: human-readable table + BENCH_scale_kernels.json (path overridable
 // as argv[1]) with scale.* timers and speedups, CI-archived.
@@ -27,6 +30,7 @@
 #include "scale/ensemble.hpp"
 #include "scale/microphysics.hpp"
 #include "scale/model.hpp"
+#include "scale/seed/seed.hpp"
 #include "scale/turbulence.hpp"
 #include "util/fpenv.hpp"
 #include "util/metrics.hpp"
@@ -53,26 +57,22 @@ Grid bench_grid() {
   return Grid::stretched(24, 24, 60, 500.0f, 16400.0f, 80.0f, 1.032f);
 }
 
-ModelConfig config(KernelPath path) {
+ModelConfig config() {
   ModelConfig cfg;
   cfg.dt = 0.4f;
   cfg.physics_every = 5;
-  cfg.dyn.kernel_path = path;
-  cfg.micro.kernel_path = path;
-  cfg.turb.kernel_path = path;
-  cfg.pbl.kernel_path = path;
   return cfg;
 }
 
-/// Mature convective storm: spun up with the reference kernels so both
-/// paths start from bit-identical initial conditions with active
+/// Mature convective storm: spun up with the seed kernels so both kernel
+/// sets start from bit-identical initial conditions with active
 /// hydrometeors (microphysics skip paths are exercised, not trivially hit).
 State storm_state(const Grid& grid) {
-  Model model(grid, convective_sounding(), config(KernelPath::kReference));
-  add_thermal_bubble(model.state(), grid, 6000, 6000, 1200, 2500, 1000,
+  seed::Runner model(grid, convective_sounding(), config());
+  add_thermal_bubble(model.member(0), grid, 6000, 6000, 1200, 2500, 1000,
                      3.0f);
   model.advance(60.0f);
-  return model.state();
+  return model.member(0);
 }
 
 std::size_t field_mismatch(std::span<const real> a, std::span<const real> b) {
@@ -104,7 +104,7 @@ struct KernelResult {
 
 bool report_bitwise(const char* name, std::size_t bad) {
   if (bad != 0) {
-    std::printf("FAIL [%s]: %zu words differ from the serial reference "
+    std::printf("FAIL [%s]: %zu words differ from the seed kernels "
                 "(bitwise contract broken)\n",
                 name, bad);
     return false;
@@ -112,13 +112,13 @@ bool report_bitwise(const char* name, std::size_t bad) {
   return true;
 }
 
-/// Per-kernel ref-vs-opt: bitwise contract check on one step from the storm
-/// state, then timed repetitions.  `step` is called as step(engine, state);
-/// timing advances the same trajectory for both paths (the paths are
-/// bitwise identical, so the work sequence is identical too).
-template <typename Engine, typename StepFn>
+/// Per-kernel seed-vs-production: bitwise contract check on one step from
+/// the storm state, then timed repetitions.  `step` is called as
+/// step(engine, state); timing advances the same trajectory for both kernel
+/// sets (they are bitwise identical, so the work sequence is identical too).
+template <typename RefEngine, typename OptEngine, typename StepFn>
 bool bench_kernel(const char* name, const Grid& grid, const State& base,
-                  Engine& ref_eng, Engine& opt_eng, StepFn step,
+                  RefEngine& ref_eng, OptEngine& opt_eng, StepFn step,
                   util::Metrics& metrics, std::vector<KernelResult>& out) {
   // Contract check before any timing.
   State sr = base, so = base;
@@ -149,24 +149,37 @@ bool bench_kernel(const char* name, const Grid& grid, const State& base,
   return true;
 }
 
-/// End-to-end: a kMembers-member ensemble advanced kAdvanceS seconds with
-/// full physics, ref kernels vs opt kernels, identical perturbations.
-/// Returns wall seconds; `snapshot` receives the final member states.
-double run_ensemble(KernelPath path, std::vector<State>* snapshot) {
-  const Grid grid = bench_grid();
-  Ensemble ens(grid, convective_sounding(), config(path), kMembers);
+/// Initial members of the end-to-end run: smooth perturbations plus a warm
+/// bubble, the same states for both kernel sets.
+std::vector<State> ensemble_members(const Grid& grid) {
+  Ensemble ens(grid, convective_sounding(), config(), kMembers);
   PerturbationSpec spec;
-  Rng rng(20210723u);  // same seed both paths -> identical members
+  Rng rng(20210723u);
   ens.perturb(spec, rng);
-  for (int m = 0; m < ens.size(); ++m)
+  std::vector<State> members;
+  for (int m = 0; m < ens.size(); ++m) {
     add_thermal_bubble(ens.member(m), grid, 6000, 6000, 1200, 2500, 1000,
                        3.0f);
+    members.push_back(ens.member(m));
+  }
+  return members;
+}
+
+/// End-to-end: the members advanced kAdvanceS seconds with full physics by
+/// `Members` (scale::Ensemble or seed::Runner).  Returns wall seconds;
+/// `snapshot` receives the final member states.
+template <typename Members>
+double run_ensemble(const Grid& grid, const std::vector<State>& init,
+                    std::vector<State>* snapshot) {
+  Members ens(grid, convective_sounding(), config(), kMembers);
+  for (int m = 0; m < kMembers; ++m)
+    ens.member(m) = init[static_cast<std::size_t>(m)];
   const double t0 = now_s();
   ens.advance(kAdvanceS);
   const double dt = now_s() - t0;
   if (snapshot) {
     snapshot->clear();
-    for (int m = 0; m < ens.size(); ++m) snapshot->push_back(ens.member(m));
+    for (int m = 0; m < kMembers; ++m) snapshot->push_back(ens.member(m));
   }
   return dt;
 }
@@ -180,7 +193,7 @@ int main(int argc, char** argv) {
   // Production FP environment (util/fpenv.hpp): the paper's A64FX flushes
   // subnormals by default, and the subnormal tails hyperdiffusion leaves in
   // the tracer planes would otherwise dominate the timings with microcode
-  // assists.  Applied on every thread; both kernel paths run under it, and
+  // assists.  Applied on every thread; both kernel sets run under it, and
   // the bitwise ref==opt checks below therefore verify the determinism
   // contract under this environment too.
   const bool ftz = util::enable_flush_to_zero();
@@ -189,7 +202,7 @@ int main(int argc, char** argv) {
 
   const Grid grid = bench_grid();
   std::printf("\n=====================================================\n");
-  std::printf("SCALE kernels: SoA/SIMD optimized paths vs seed reference\n");
+  std::printf("SCALE kernels: SoA/SIMD production kernels vs seed kernels\n");
   std::printf("  grid %lld x %lld x %lld (dx = %.0f m, dz0 = %.0f m), "
               "dt = 0.4 s\n",
               (long long)grid.nx(), (long long)grid.ny(),
@@ -201,51 +214,37 @@ int main(int argc, char** argv) {
   util::Metrics metrics;
   std::vector<KernelResult> results;
 
-  std::printf("\nspinning up convective storm (60 s, reference kernels)...\n");
+  std::printf("\nspinning up convective storm (60 s, seed kernels)...\n");
   const State base = storm_state(grid);
   const auto ref = ReferenceState::build(grid, convective_sounding());
   const real dt = 0.4f;
 
   bool ok = true;
+  const auto step = [&](auto& e, State& s) { e.step(s, dt); };
   {
-    DynParams rp, op;
-    rp.kernel_path = KernelPath::kReference;
-    op.kernel_path = KernelPath::kOptimized;
-    Dynamics ref_eng(grid, ref, rp), opt_eng(grid, ref, op);
-    ok = ok && bench_kernel(
-                   "dynamics", grid, base, ref_eng, opt_eng,
-                   [&](Dynamics& e, State& s) { e.step(s, dt); }, metrics,
-                   results);
+    seed::Dynamics ref_eng(grid, ref, {});
+    Dynamics opt_eng(grid, ref, {});
+    ok = ok && bench_kernel("dynamics", grid, base, ref_eng, opt_eng, step,
+                            metrics, results);
   }
   {
-    MicroParams rp, op;
-    rp.kernel_path = KernelPath::kReference;
-    op.kernel_path = KernelPath::kOptimized;
-    Microphysics ref_eng(grid, rp), opt_eng(grid, op);
-    ok = ok && bench_kernel(
-                   "microphysics", grid, base, ref_eng, opt_eng,
-                   [&](Microphysics& e, State& s) { e.step(s, dt); }, metrics,
-                   results);
+    seed::Microphysics ref_eng(grid);
+    Microphysics opt_eng(grid);
+    ok = ok && bench_kernel("microphysics", grid, base, ref_eng, opt_eng,
+                            step, metrics, results);
   }
   {
-    TurbParams rp, op;
-    rp.kernel_path = KernelPath::kReference;
-    op.kernel_path = KernelPath::kOptimized;
-    Turbulence ref_eng(grid, rp), opt_eng(grid, op);
-    ok = ok && bench_kernel(
-                   "turbulence", grid, base, ref_eng, opt_eng,
-                   [&](Turbulence& e, State& s) { e.step(s, dt); }, metrics,
-                   results);
+    seed::Turbulence ref_eng(grid);
+    Turbulence opt_eng(grid);
+    ok = ok && bench_kernel("turbulence", grid, base, ref_eng, opt_eng, step,
+                            metrics, results);
   }
   {
-    PblParams rp, op;
-    rp.kernel_path = KernelPath::kReference;
-    op.kernel_path = KernelPath::kOptimized;
-    BoundaryLayer ref_eng(grid, rp), opt_eng(grid, op);
-    ok = ok && bench_kernel(
-                   "boundary_layer", grid, base, ref_eng, opt_eng,
-                   [&](BoundaryLayer& e, State& s) { e.step(s, dt); }, metrics,
-                   results);
+    BoundaryLayer ref_tke(grid);  // holds the TKE the seed kernel marches
+    seed::BoundaryLayer ref_eng(grid, {}, ref_tke);
+    BoundaryLayer opt_eng(grid);
+    ok = ok && bench_kernel("boundary_layer", grid, base, ref_eng, opt_eng,
+                            step, metrics, results);
   }
   if (!ok) return 1;
 
@@ -260,9 +259,10 @@ int main(int argc, char** argv) {
   std::printf("\nend-to-end: %d-member ensemble, %.0f s model time, full "
               "physics\n",
               kMembers, double(kAdvanceS));
+  const std::vector<State> init = ensemble_members(grid);
   std::vector<State> end_ref, end_opt;
-  const double e2e_warm_ref = run_ensemble(KernelPath::kReference, &end_ref);
-  const double e2e_warm_opt = run_ensemble(KernelPath::kOptimized, &end_opt);
+  const double e2e_warm_ref = run_ensemble<seed::Runner>(grid, init, &end_ref);
+  const double e2e_warm_opt = run_ensemble<Ensemble>(grid, init, &end_opt);
   for (int m = 0; m < kMembers; ++m) {
     const std::string name = "ensemble member " + std::to_string(m);
     if (!report_bitwise(name.c_str(),
@@ -271,8 +271,8 @@ int main(int argc, char** argv) {
       return 1;
   }
   // Timed pass (the first pass doubles as warmup).
-  const double e2e_ref = run_ensemble(KernelPath::kReference, nullptr);
-  const double e2e_opt = run_ensemble(KernelPath::kOptimized, nullptr);
+  const double e2e_ref = run_ensemble<seed::Runner>(grid, init, nullptr);
+  const double e2e_opt = run_ensemble<Ensemble>(grid, init, nullptr);
   const double ref_s = 0.5 * (e2e_warm_ref + e2e_ref);
   const double opt_s = 0.5 * (e2e_warm_opt + e2e_opt);
   const double speedup = ref_s / opt_s;
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
   std::printf("%-16s %12.3f %12.3f %8.2fx\n", "ensemble", ref_s, opt_s,
               speedup);
   std::printf("\nbitwise check: every kernel and all %d end-to-end members "
-              "match the serial reference\n", kMembers);
+              "match the seed kernels\n", kMembers);
   const bool pass = speedup >= 2.0;
   std::printf("acceptance (ensemble advance >= 2.00x): %s\n",
               pass ? "PASS" : "FAIL");

@@ -7,7 +7,6 @@
 #include "scale/dynamics.hpp"
 #include "scale/grid.hpp"
 #include "scale/model.hpp"
-#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
 namespace bda::hpc {
@@ -74,24 +73,6 @@ HostCalibration calibrate_host() {
     cal.letkf_points_per_s = ok ? solves / (now_s() - t0) : 0.0;
   }
 
-  // --- serialization throughput (BDF encode + decode of one field).
-  {
-    Field3D<float> f(32, 32, 32, 0);
-    for (idx i = 0; i < 32; ++i)
-      for (idx j = 0; j < 32; ++j)
-        for (idx k = 0; k < 32; ++k) f(i, j, k) = float(i + j + k);
-    std::vector<FieldRecord> recs;
-    recs.push_back({"calib", std::move(f)});
-    const double t0 = now_s();
-    std::size_t bytes = 0;
-    for (int it = 0; it < 20; ++it) {
-      auto buf = encode_bdf(recs);
-      bytes += buf.size();
-      auto back = decode_bdf(buf);
-      bytes += buf.size();
-    }
-    cal.serialize_bytes_per_s = double(bytes) / (now_s() - t0);
-  }
   return cal;
 }
 
@@ -103,7 +84,6 @@ HostCalibration reference_calibration() {
   cal.letkf_points_per_s = 7.0e3;
   cal.letkf_k0 = 32;
   cal.letkf_p0 = 64;
-  cal.serialize_bytes_per_s = 2.0e9;
   return cal;
 }
 

@@ -3,9 +3,9 @@
 // The paper's headline numbers were measured on 11,580 exclusive Fugaku
 // nodes; this reproduction runs on a workstation, so paper-scale timings are
 // *projected*: kernel throughputs (model grid-cell updates per second, LETKF
-// grid-point solves per second, serialization bandwidth) are measured on the
-// host with the real kernels in this repository, then scaled by an explicit
-// node-speedup factor and node count.  All scaling assumptions are plain
+// grid-point solves per second) are measured on the host with the real
+// kernels in this repository, then scaled by an explicit node-speedup factor
+// and node count.  All scaling assumptions are plain
 // struct fields printed by every bench that uses them, and EXPERIMENTS.md
 // records the resulting paper-vs-projected comparison.  What the projection
 // preserves is the *shape* of Fig 5: the component breakdown, the dependence
@@ -23,7 +23,6 @@ struct HostCalibration {
   double letkf_points_per_s = 0;  ///< LETKF point solves / s at (k0, p0)
   std::size_t letkf_k0 = 0;       ///< ensemble size of the calibration solve
   std::size_t letkf_p0 = 0;       ///< local obs count of the calibration
-  double serialize_bytes_per_s = 0;  ///< encode+decode throughput
 };
 
 /// Run the real kernels briefly and measure.  Deterministic work content;
@@ -109,9 +108,6 @@ class BdaCostModel {
   const FugakuSpec& spec() const { return spec_; }
 
  private:
-  double node_rate(double host_rate, int nodes, double eff) const {
-    return host_rate * spec_.node_speedup * double(nodes) * eff;
-  }
   HostCalibration cal_;
   FugakuSpec spec_;
 };

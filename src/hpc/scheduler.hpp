@@ -61,9 +61,6 @@ class RotatingGroupPool {
   int peak_busy() const { return peak_busy_; }
 
   int n_groups() const { return static_cast<int>(busy_until_.size()); }
-  double busy_until(int g) const {
-    return busy_until_[static_cast<std::size_t>(g)];
-  }
 
   /// Forget all jobs and the occupancy peak.
   void reset();

@@ -51,16 +51,16 @@ class ColumnWeightSolver {
   /// `k` ensemble members, at most `max_levels` levels per column; rtpp /
   /// rho as letkf_weights.  `max_ql_iters` caps the QL iteration (the
   /// deterministic non-convergence fault knob, default matches tql2).
+  /// Slots are allocated on first use, so storage follows the most distinct
+  /// signatures any column has needed, not max_levels (k^2 floats per slot).
   ColumnWeightSolver(std::size_t k, std::size_t max_levels, T rtpp_alpha,
                      T rho, int max_ql_iters = 50)
       : k_(k), max_levels_(max_levels), rtpp_(rtpp_alpha), rho_(rho),
-        max_ql_iters_(max_ql_iters), ws_(k), wmat_(max_levels * k * k),
-        ok_(max_levels, std::uint8_t(0)), sig_ids_(max_levels),
-        sig_rinv_(max_levels), sig_hash_(max_levels) {}
+        max_ql_iters_(max_ql_iters), ws_(k) {}
 
   /// Start a new column: drops the weight cache (signatures are only
-  /// comparable within one column's candidate set) but keeps capacity and
-  /// the lifetime counters.
+  /// comparable within one column's candidate set) but keeps the slots
+  /// allocated so far and the lifetime counters.
   void begin_column() {
     n_unique_ = 0;
     n_levels_ = 0;
@@ -93,6 +93,13 @@ class ColumnWeightSolver {
                      const T* Y, const T* d) {
     assert(p > 0 && n_unique_ < max_levels_);
     const std::size_t u = n_unique_++;
+    if (u == sig_hash_.size()) {  // first use of this slot
+      wmat_.resize((u + 1) * k_ * k_);
+      ok_.push_back(0);
+      sig_ids_.emplace_back();
+      sig_rinv_.emplace_back();
+      sig_hash_.push_back(0);
+    }
     ++n_levels_;
     ++misses_;
     sig_hash_[u] = signature_hash(p, ids, rinv);
@@ -119,7 +126,8 @@ class ColumnWeightSolver {
     return ok_[slot] != 0;
   }
 
-  /// k x k weight matrix of a converged slot.
+  /// k x k weight matrix of a converged slot.  The pointer stays valid
+  /// until the next insert(), which may reallocate the slot storage.
   const T* weights(std::size_t slot) const {
     assert(slot < n_unique_ && ok_[slot] != 0);
     return wmat_.data() + slot * k_ * k_;

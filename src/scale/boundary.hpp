@@ -64,7 +64,6 @@ class StateDriver final : public BoundaryDriver {
  public:
   explicit StateDriver(const State* state) : state_(state) {}
   void fill(double /*time_s*/, State& bc) const override { bc = *state_; }
-  void set_state(const State* state) { state_ = state; }
 
  private:
   const State* state_;

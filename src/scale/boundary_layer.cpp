@@ -6,7 +6,7 @@
 // is factorized once per diffusivity set and the factorization reused across
 // all right-hand sides that share it (K_h: theta + qv, K_m: momx + momy +
 // TKE) — 2 eliminations per column instead of 5.  Per point the arithmetic
-// is identical to boundary_layer_ref.cpp — bitwise-checked by
+// is identical to seed/boundary_layer.cpp — bitwise-checked by
 // bench_scale_kernels and test_kernel_parity (docs/SCALE_KERNELS.md).
 #include "scale/boundary_layer.hpp"
 
@@ -61,14 +61,6 @@ void BoundaryLayer::step(State& s, real dt) {
         col[nz + k] = s.v(i, j, k);
       }
     }
-  if (params_.kernel_path == KernelPath::kReference)
-    step_ref(s, dt, uv);
-  else
-    step_opt(s, dt, uv);
-}
-
-void BoundaryLayer::step_opt(State& s, real dt, const std::vector<real>& uv) {
-  const idx nx = s.nx, ny = s.ny, nz = s.nz;
   const PblParams& P = params_;
 
 #pragma omp parallel

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "scale/grid.hpp"
-#include "scale/kernel_path.hpp"
 #include "scale/state.hpp"
 #include "util/field.hpp"
 
@@ -26,9 +25,6 @@ struct PblParams {
   real l_inf = 100.0f;    ///< asymptotic mixing length [m]
   real tke_min = 1.0e-4f; ///< TKE floor [m2/s2]
   real k_max = 200.0f;    ///< diffusivity cap [m2/s]
-  /// Hot-loop implementation; kReference is the seed per-point path kept as
-  /// the bitwise contract for bench_scale_kernels (docs/SCALE_KERNELS.md).
-  KernelPath kernel_path = KernelPath::kOptimized;
 };
 
 class BoundaryLayer {
@@ -49,21 +45,11 @@ class BoundaryLayer {
   RField3D& tke() { return tke_; }
 
  private:
-  // Seed per-column path (boundary_layer_ref.cpp), the bitwise reference.
-  // `uv` holds each column's pre-step cell-centre u then v (nz each), at
-  // offset (i * ny + j) * 2 * nz.
-  void step_ref(State& s, real dt, const std::vector<real>& uv);
-  // Restructured path: per-level mixing-length constants hoisted to the
-  // ctor, cell-center theta column hoisted, and one tridiagonal
-  // factorization shared by all right-hand sides that use the same
-  // diffusivity set (boundary_layer.cpp).
-  void step_opt(State& s, real dt, const std::vector<real>& uv);
-
   const Grid& grid_;
   PblParams params_;
   RField3D tke_;
 
-  // Optimized-path per-level constants (grid + params, fixed at ctor).
+  // Per-level constants (grid + params, fixed at ctor).
   std::vector<real> lmix_;  ///< kappa z / (1 + kappa z / l_inf)
   std::vector<real> ldis_;  ///< max(lmix, 1) — dissipation denominator
   std::vector<real> rdzc_;  ///< 1 / (zc(k+1) - zc(k-1)), interior levels

@@ -1,7 +1,7 @@
 // Restructured (raw-speed) dynamics kernels: flux-once plane buffers,
 // SoA-batched vertical implicit solve, and `#pragma omp simd` inner loops
 // over contiguous k-columns.  Per point the arithmetic expression sequence
-// is identical to the seed path in dynamics_ref.cpp, so the results are
+// is identical to the seed kernels in seed/dynamics.cpp, so the results are
 // bitwise-equal — bench_scale_kernels and test_kernel_parity enforce this
 // (docs/SCALE_KERNELS.md).
 #include "scale/dynamics.hpp"
@@ -84,29 +84,12 @@ void Dynamics::fill_derived_halos() {
   fill(div_);
 }
 
-void Dynamics::compute_tendencies(const State& in, Tendencies& tend,
-                                  real dt_full) {
-  if (params_.kernel_path == KernelPath::kReference)
-    compute_tendencies_ref(in, tend, dt_full);
-  else
-    compute_tendencies_opt(in, tend, dt_full);
-}
-
-void Dynamics::vertical_implicit(const State& s0, const State& in,
-                                 const Tendencies& tend, real dts,
-                                 State& out) {
-  if (params_.kernel_path == KernelPath::kReference)
-    vertical_implicit_ref(s0, in, tend, dts, out);
-  else
-    vertical_implicit_opt(s0, in, tend, dts, out);
-}
-
 // Derived fields, with the dens tendency (horizontal mass-flux divergence)
 // fused in: it reads exactly the momx/momy columns the divergence already
 // touches, and both writes are independent, so the fusion is bitwise-safe.
 // The pressure pass stays a separate k-loop so powf does not break the
 // vectorization of the cheap expressions around it.
-void Dynamics::compute_derived_opt(const State& in, Tendencies& tend) {
+void Dynamics::compute_derived(const State& in, Tendencies& tend) {
   const idx nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const real rdx = real(1) / grid_.dx();
 #pragma omp parallel for collapse(2)
@@ -144,9 +127,9 @@ void Dynamics::compute_derived_opt(const State& in, Tendencies& tend) {
   fill_derived_halos();
 }
 
-void Dynamics::compute_tendencies_opt(const State& in, Tendencies& tend,
-                                      real dt_full) {
-  compute_derived_opt(in, tend);
+void Dynamics::compute_tendencies(const State& in, Tendencies& tend,
+                                  real dt_full) {
+  compute_derived(in, tend);
 
   const idx nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const real dx = grid_.dx();
@@ -462,8 +445,9 @@ void Dynamics::compute_tendencies_opt(const State& in, Tendencies& tend,
   if (nu4 > real(0)) hyperdiffusion(in, tend, nu4);
 }
 
-// Shared by both paths: the stencil is elementwise per (i,j,k) and the simd
-// annotation does not reorder any per-point arithmetic.
+// The seed kernels run the same stencil (seed/dynamics.cpp); it is
+// elementwise per (i,j,k) and the simd annotation does not reorder any
+// per-point arithmetic.
 void Dynamics::hyperdiffusion(const State& in, Tendencies& tend, real nu4) {
   const idx nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const real rdx = real(1) / grid_.dx();
@@ -502,10 +486,10 @@ void Dynamics::hyperdiffusion(const State& in, Tendencies& tend, real nu4) {
 // SoA-batched vertical implicit solve: columns are processed in lanes of
 // kImplicitLanes interleaved structure-of-arrays, so every level of the
 // Thomas recurrence (division-heavy) runs lane-parallel.  Per
-// lane the expression sequence is identical to vertical_implicit_ref.
-void Dynamics::vertical_implicit_opt(const State& s0, const State& in,
-                                     const Tendencies& tend, real dts,
-                                     State& out) {
+// lane the expression sequence is identical to the seed's per-column solve.
+void Dynamics::vertical_implicit(const State& s0, const State& in,
+                                 const Tendencies& tend, real dts,
+                                 State& out) {
   const idx nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const real g = C::grav;
 

@@ -36,6 +36,28 @@ struct ModelConfig {
   int physics_every = 5;
 };
 
+/// The engines that advance one member.  `micro` and `pbl` hold the
+/// member's own trajectory state (accumulated precipitation, TKE); the
+/// others hold scratch only and may be shared between members.
+struct MemberEngines {
+  Dynamics& dyn;
+  Microphysics& micro;
+  Turbulence& turb;
+  BoundaryLayer& pbl;
+  Surface& sfc;
+  Radiation& rad;
+};
+
+/// One step (cfg.dt) of one member in the operator-split order Model and
+/// Ensemble both run: dynamics, microphysics, then on every
+/// `physics_every`-th step (counted by `step_count`) turbulence, boundary
+/// layer, surface (local time `t` modulo one day) and radiation over
+/// physics_every * dt, then Davies relaxation of a `rim_width`-cell rim
+/// toward `rim_target` when it is non-null.  Disabled modules are skipped.
+void step_member(const ModelConfig& cfg, long step_count, double t, State& s,
+                 const MemberEngines& eng, const State* rim_target,
+                 idx rim_width, real rim_tau);
+
 class Model {
  public:
   Model(const Grid& grid, const Sounding& sounding, ModelConfig cfg = {});

@@ -9,14 +9,6 @@
 
 namespace bda::serve {
 
-const char* product_kind_name(ProductKind k) {
-  switch (k) {
-    case ProductKind::kMapView: return "map_view";
-    case ProductKind::kVolume3D: return "volume3d";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Raw little-layout sample bytes of a tile (memcpy through bda::io — the

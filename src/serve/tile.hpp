@@ -33,8 +33,6 @@ enum class ProductKind : std::uint8_t {
   kVolume3D = 1,  ///< full 3-D reflectivity voxel grid
 };
 
-const char* product_kind_name(ProductKind k);
-
 /// Fixed tile grid: tiles are `tile_nx x tile_ny` columns (all vertical
 /// levels of a column stay in one tile); edge tiles are clipped.
 struct TileGridConfig {

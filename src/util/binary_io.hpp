@@ -100,8 +100,8 @@ void write_bdf(const std::string& path, const std::vector<FieldRecord>& recs);
 /// Read all records; throws std::runtime_error on missing/corrupt file.
 std::vector<FieldRecord> read_bdf(const std::string& path);
 
-/// Serialize to an in-memory buffer (used by the host calibration in
-/// hpc::calibrate_host and by the codec tests).
+/// Serialize to an in-memory buffer (write_bdf/read_bdf frame files with it;
+/// the codec tests call it directly).
 std::vector<std::uint8_t> encode_bdf(const std::vector<FieldRecord>& recs);
 std::vector<FieldRecord> decode_bdf(const std::vector<std::uint8_t>& buf);
 

@@ -62,11 +62,6 @@ class Field3D {
     return data_.data() + offset(i, j, 0);
   }
 
-  /// Element distance between (i, j, k) and (i+1, j, k).  The k stride is 1
-  /// (columns contiguous); the j stride is nz.
-  idx stride_i() const { return sx_; }
-  idx stride_j() const { return sy_; }
-
   std::span<T> raw() { return data_; }
   std::span<const T> raw() const { return data_; }
 

@@ -98,7 +98,6 @@ class OperationSimulator {
   static OperationSummary summarize(const std::vector<CycleRecord>& recs);
 
   const OperationConfig& config() const { return cfg_; }
-  const hpc::BdaCostModel& cost_model() const { return cost_; }
 
  private:
   OperationConfig cfg_;

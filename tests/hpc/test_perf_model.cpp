@@ -53,7 +53,6 @@ TEST(Calibration, ReferenceValuesPositive) {
   const auto cal = reference_calibration();
   EXPECT_GT(cal.model_cells_per_s, 0.0);
   EXPECT_GT(cal.letkf_points_per_s, 0.0);
-  EXPECT_GT(cal.serialize_bytes_per_s, 0.0);
   EXPECT_GT(cal.letkf_k0, 0u);
 }
 
@@ -63,7 +62,6 @@ TEST(Calibration, HostMeasurementRunsAndIsSane) {
   EXPECT_GT(cal.model_cells_per_s, 1e4);
   EXPECT_LT(cal.model_cells_per_s, 1e10);
   EXPECT_GT(cal.letkf_points_per_s, 10.0);
-  EXPECT_GT(cal.serialize_bytes_per_s, 1e6);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
-// Bitwise parity between the optimized SCALE kernels (KernelPath::kOptimized,
-// the default) and the seed reference path (KernelPath::kReference), plus the
-// regression tests for the bugs fixed in the raw-speed pass:
+// Bitwise parity between the production SCALE kernels and the seed kernels
+// (scale::seed, src/scale/seed/, the bda_scale_seed oracle library), per
+// module and over whole-model trajectories (seed::Runner replays
+// scale::step_member's order), plus the regression tests for the bugs fixed
+// in the raw-speed pass:
 //   - turbulence halos were clamped unconditionally, breaking
 //     shift-equivariance for periodic runs (TurbulencePeriodic test);
 //   - sedimentation and boundary-layer column scratch was real[256] on the
@@ -24,6 +26,7 @@
 #include "scale/boundary_layer.hpp"
 #include "scale/microphysics.hpp"
 #include "scale/model.hpp"
+#include "scale/seed/seed.hpp"
 #include "scale/surface.hpp"
 #include "scale/turbulence.hpp"
 
@@ -58,14 +61,6 @@ void expect_state_bitwise(const State& a, const State& b) {
   expect_field_bitwise(a.rhot, b.rhot, "rhot");
   for (int t = 0; t < kNumTracers; ++t)
     expect_field_bitwise(a.rhoq[t], b.rhoq[t], tracer_name(t));
-}
-
-ModelConfig reference_config(ModelConfig cfg) {
-  cfg.dyn.kernel_path = KernelPath::kReference;
-  cfg.micro.kernel_path = KernelPath::kReference;
-  cfg.turb.kernel_path = KernelPath::kReference;
-  cfg.pbl.kernel_path = KernelPath::kReference;
-  return cfg;
 }
 
 State storm_state(const Grid& g, const Sounding& snd) {
@@ -104,7 +99,7 @@ void seed_hydrometeors(State& s) {
 
 // ---------------------------------------------------------------------------
 // End-to-end: the full model cycle (dynamics + all physics) must be bitwise
-// identical between the two kernel paths.
+// identical between the production kernels and the seed kernels.
 
 TEST(KernelParity, ModelCycleBitwise) {
   Grid g(8, 8, 16, 500.0f, 8000.0f);
@@ -112,19 +107,19 @@ TEST(KernelParity, ModelCycleBitwise) {
   ModelConfig cfg;
   cfg.physics_every = 2;  // exercise turb/pbl/sfc/rad several times
   Model opt(g, snd, cfg);
-  Model ref(g, snd, reference_config(cfg));
+  seed::Runner ref(g, snd, cfg);
   add_thermal_bubble(opt.state(), g, 2000, 2000, 1500, 1200, 700, 2.0f);
-  add_thermal_bubble(ref.state(), g, 2000, 2000, 1500, 1200, 700, 2.0f);
+  add_thermal_bubble(ref.member(0), g, 2000, 2000, 1500, 1200, 700, 2.0f);
   seed_hydrometeors(opt.state());
-  seed_hydrometeors(ref.state());
+  seed_hydrometeors(ref.member(0));
   for (int n = 0; n < 9; ++n) {
     opt.step();
     ref.step();
   }
-  expect_state_bitwise(opt.state(), ref.state());
+  expect_state_bitwise(opt.state(), ref.member(0));
   // Precipitation accounting runs through sedimentation — must match too.
   const auto& pa = opt.microphysics().accumulated_precip();
-  const auto& pb = ref.microphysics().accumulated_precip();
+  const auto& pb = ref.precip(0);
   for (idx i = 0; i < g.nx(); ++i)
     for (idx j = 0; j < g.ny(); ++j)
       EXPECT_EQ(std::bit_cast<std::uint32_t>(pa(i, j)),
@@ -143,16 +138,16 @@ TEST(KernelParity, EdgeGridBitwiseBothBcs) {
     cfg.physics_every = 2;
     cfg.dyn.lateral_bc = bc;
     Model opt(g, snd, cfg);
-    Model ref(g, snd, reference_config(cfg));
+    seed::Runner ref(g, snd, cfg);
     add_thermal_bubble(opt.state(), g, 1000, 1000, 1200, 800, 500, 2.0f);
-    add_thermal_bubble(ref.state(), g, 1000, 1000, 1200, 800, 500, 2.0f);
+    add_thermal_bubble(ref.member(0), g, 1000, 1000, 1200, 800, 500, 2.0f);
     seed_hydrometeors(opt.state());
-    seed_hydrometeors(ref.state());
+    seed_hydrometeors(ref.member(0));
     for (int n = 0; n < 6; ++n) {
       opt.step();
       ref.step();
     }
-    expect_state_bitwise(opt.state(), ref.state());
+    expect_state_bitwise(opt.state(), ref.member(0));
   }
 }
 
@@ -164,10 +159,8 @@ TEST(KernelParity, MicrophysicsBitwise) {
   State a = storm_state(g, convective_sounding());
   seed_hydrometeors(a);
   State b = a;
-  MicroParams pref;
-  pref.kernel_path = KernelPath::kReference;
   Microphysics m_opt(g);
-  Microphysics m_ref(g, pref);
+  seed::Microphysics m_ref(g);
   for (int n = 0; n < 4; ++n) {
     m_opt.step(a, 2.0f);
     m_ref.step(b, 2.0f);
@@ -194,10 +187,8 @@ TEST(KernelParity, TurbulenceBitwiseBothBcs) {
           a.momx(i, j, k) = a.dens(i, j, k) * 8.0f *
                             real((j % 2 == 0) ? 1 : -1);
     State b = a;
-    TurbParams pref;
-    pref.kernel_path = KernelPath::kReference;
     Turbulence t_opt(g, {}, bc);
-    Turbulence t_ref(g, pref, bc);
+    seed::Turbulence t_ref(g, {}, bc);
     for (int n = 0; n < 3; ++n) {
       t_opt.step(a, 2.0f);
       t_ref.step(b, 2.0f);
@@ -215,21 +206,20 @@ TEST(KernelParity, BoundaryLayerBitwise) {
       for (idx k = 0; k < a.nz; ++k)
         a.momx(i, j, k) = a.dens(i, j, k) * real(3 + k);
   State b = a;
-  PblParams pref;
-  pref.kernel_path = KernelPath::kReference;
   BoundaryLayer p_opt(g);
-  BoundaryLayer p_ref(g, pref);
+  BoundaryLayer ref_tke(g);  // holds the TKE the seed kernel marches
+  seed::BoundaryLayer p_ref(g, {}, ref_tke);
   for (idx i = 0; i < g.nx(); ++i)
     for (idx j = 0; j < g.ny(); ++j) {
       p_opt.add_surface_production(i, j, 0.05f);
-      p_ref.add_surface_production(i, j, 0.05f);
+      ref_tke.add_surface_production(i, j, 0.05f);
     }
   for (int n = 0; n < 4; ++n) {
     p_opt.step(a, 2.0f);
     p_ref.step(b, 2.0f);
   }
   expect_state_bitwise(a, b);
-  expect_field_bitwise(p_opt.tke(), p_ref.tke(), "tke");
+  expect_field_bitwise(p_opt.tke(), ref_tke.tke(), "tke");
 }
 
 // ---------------------------------------------------------------------------
@@ -287,8 +277,9 @@ TEST(TurbulencePeriodic, StepCommutesWithTranslation) {
 }
 
 // nz = 300 > 256: the seed's fixed-size column scratch (real[256] terminal
-// velocities / tridiagonal rows) smashed the stack here.  Both kernel paths
-// now use heap scratch; under the asan-ubsan preset the pre-fix code aborts.
+// velocities / tridiagonal rows) smashed the stack here.  The production and
+// seed kernels now use heap scratch; under the asan-ubsan preset the pre-fix
+// code aborts.
 TEST(TallColumn, SedimentationNz300BothPaths) {
   Grid g(2, 2, 300, 500.0f, 15000.0f);
   State a = storm_state(g, convective_sounding());
@@ -297,10 +288,8 @@ TEST(TallColumn, SedimentationNz300BothPaths) {
     a.rhoq[QG](1, 1, k) = a.dens(1, 1, k) * 5e-4f;
   }
   State b = a;
-  MicroParams pref;
-  pref.kernel_path = KernelPath::kReference;
   Microphysics m_opt(g);
-  Microphysics m_ref(g, pref);
+  seed::Microphysics m_ref(g);
   m_opt.sediment_only(a, 2.0f);
   m_ref.sediment_only(b, 2.0f);
   expect_state_bitwise(a, b);
@@ -315,10 +304,9 @@ TEST(TallColumn, BoundaryLayerNz300BothPaths) {
       for (idx k = 0; k < a.nz; ++k)
         a.momx(i, j, k) = a.dens(i, j, k) * 2.0f;
   State b = a;
-  PblParams pref;
-  pref.kernel_path = KernelPath::kReference;
   BoundaryLayer p_opt(g);
-  BoundaryLayer p_ref(g, pref);
+  BoundaryLayer ref_tke(g);
+  seed::BoundaryLayer p_ref(g, {}, ref_tke);
   p_opt.step(a, 2.0f);
   p_ref.step(b, 2.0f);
   expect_state_bitwise(a, b);
@@ -402,23 +390,26 @@ TEST(ThreadCountInvariance, SurfaceStepBitwise) {
 
 // Same race in the boundary layer: shear production read s.u/s.v while
 // neighbouring columns' momentum mixing rewrote the faces they average.
+// Checked on the production kernel and on the seed oracle.
 TEST(ThreadCountInvariance, BoundaryLayerStepBitwise) {
   Grid g(32, 16, 40, 250.0f, 8000.0f);
   State base = storm_state(g, convective_sounding());
   add_shear(base);
 
   const int save = omp_get_max_threads();
-  for (KernelPath path : {KernelPath::kOptimized, KernelPath::kReference}) {
-    PblParams params;
-    params.kernel_path = path;
+  for (bool use_seed : {false, true}) {
     auto run = [&](int threads) {
       omp_set_num_threads(threads);
       State s = base;
-      BoundaryLayer pbl(g, params);
+      BoundaryLayer pbl(g);
+      seed::BoundaryLayer seed_pbl(g, {}, pbl);
       // Turbulent enough that the mixing moves momentum by more than an ulp.
       for (real& e : pbl.tke().raw()) e = 2.0f;
       for (int n = 0; n < 4; ++n) {
-        pbl.step(s, 6.0f);
+        if (use_seed)
+          seed_pbl.step(s, 6.0f);
+        else
+          pbl.step(s, 6.0f);
         s.fill_halos_periodic();
       }
       return s;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint for the BDA tree (run via tools/lint.sh).
 
-Three invariants that neither the compiler nor clang-tidy fully enforce:
+Four invariants that neither the compiler nor clang-tidy fully enforce:
 
 1. float-literal hygiene (``double-literal``): in the single-precision hot
    paths (src/scale, src/letkf, src/pawr), floating literals must be
@@ -18,6 +18,11 @@ Three invariants that neither the compiler nor clang-tidy fully enforce:
    bodies that also name ``mu`` (take the lock, wait on it, or are annotated
    ``BDA_REQUIRES(mu)``).  This is the portable cross-check for clang's
    -Wthread-safety on toolchains without clang.
+
+4. oracle confinement (``seed-include``): the seed SCALE kernels in
+   src/scale/seed/ are the bitwise oracle for the production kernels, built
+   into a library only the parity test and bench_scale_kernels link; no
+   other file under src/ may include a ``scale/seed/`` header.
 
 Suppress a finding with ``// bda-style: allow(<check-name>): <reason>`` on
 the same line.  The reason is mandatory (same contract as ``double-ok``,
@@ -39,6 +44,8 @@ CXX_GLOBS = ("src", "tests", "bench", "examples")
 # LETKF solve, and the per-gate radar forward operator.
 HOT_PATH_DIRS = ("src/scale", "src/letkf", "src/pawr/forward")
 PUNNING_ALLOWED = {"src/util/binary_io.cpp"}
+SEED_DIR = "src/scale/seed/"
+SEED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]scale/seed/')
 
 # A file that is deliberately double-precision end to end (e.g. once-per-
 # cycle innovation statistics) may declare it once near the top instead of
@@ -209,6 +216,18 @@ def check_reinterpret_cast(path: Path, text: str, f: Findings):
                   "bda::io put/take/append_raw helpers", raw)
 
 
+def check_seed_include(path: Path, text: str, f: Findings):
+    rel = str(path.relative_to(REPO))
+    if not rel.startswith("src/") or rel.startswith(SEED_DIR):
+        return
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if SEED_INCLUDE_RE.search(raw):
+            f.add(path, lineno, "seed-include",
+                  "production code includes a src/scale/seed/ header — the "
+                  "seed kernels are a test/bench-only oracle "
+                  "(docs/SCALE_KERNELS.md)", raw)
+
+
 def function_bodies(text: str):
     """Yield (start_lineno, header_text, body_text) for top-level-ish
     function definitions, by brace matching.  Good enough for this tree's
@@ -309,6 +328,7 @@ def main() -> int:
         text = p.read_text(errors="replace")
         check_double_literals(p, text, f)
         check_reinterpret_cast(p, text, f)
+        check_seed_include(p, text, f)
         check_bad_allows(p, text, f)
     check_guarded_by(f)
     if f.items:
