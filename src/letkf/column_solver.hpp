@@ -30,15 +30,11 @@ namespace bda::letkf {
 
 namespace detail {
 
-/// FNV-1a over raw bytes; chained across the id and rinv arrays.
-inline std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes,
-                                 std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+/// One FNV-1a step over a whole word (an id, or the bits of one rinv
+/// entry).  The hash only speeds up rejection: a cache hit still requires
+/// byte equality of the signature.
+inline std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t word) {
+  return (h ^ word) * 1099511628211ull;
 }
 
 }  // namespace detail
@@ -72,6 +68,7 @@ class ColumnWeightSolver {
   std::size_t lookup(std::size_t p, const std::size_t* ids, const T* rinv) {
     assert(p > 0 && n_levels_ < max_levels_);
     const std::uint64_t h = signature_hash(p, ids, rinv);
+    probe_hash_ = h;
     for (std::size_t u = 0; u < n_unique_; ++u) {
       if (sig_hash_[u] != h || sig_ids_[u].size() != p) continue;
       if (std::memcmp(sig_ids_[u].data(), ids, p * sizeof(std::size_t)) != 0)
@@ -87,11 +84,14 @@ class ColumnWeightSolver {
 
   /// Register a level whose signature missed the cache: stores the
   /// signature and solves the slot's weight matrix (letkf_weights).  Y is
-  /// row-major p x k, d length p (as letkf_weights).  Returns the new slot;
-  /// converged()/weights() are valid for it at once.
+  /// row-major p x k, d length p (as letkf_weights).  Must follow the
+  /// missed lookup() of the same signature, whose hash it reuses (add_level
+  /// does both); any other order only costs reuse, never a wrong hit.
+  /// Returns the new slot; converged()/weights() are valid for it at once.
   std::size_t insert(std::size_t p, const std::size_t* ids, const T* rinv,
                      const T* Y, const T* d) {
     assert(p > 0 && n_unique_ < max_levels_);
+    assert(probe_hash_ == signature_hash(p, ids, rinv));
     const std::size_t u = n_unique_++;
     if (u == sig_hash_.size()) {  // first use of this slot
       wmat_.resize((u + 1) * k_ * k_);
@@ -102,7 +102,7 @@ class ColumnWeightSolver {
     }
     ++n_levels_;
     ++misses_;
-    sig_hash_[u] = signature_hash(p, ids, rinv);
+    sig_hash_[u] = probe_hash_;
     sig_ids_[u].assign(ids, ids + p);
     sig_rinv_[u].assign(rinv, rinv + p);
     const bool conv = letkf_weights(k_, p, Y, d, rinv, rtpp_, rho_, ws_,
@@ -146,9 +146,14 @@ class ColumnWeightSolver {
  private:
   static std::uint64_t signature_hash(std::size_t p, const std::size_t* ids,
                                       const T* rinv) {
+    static_assert(sizeof(T) <= sizeof(std::uint64_t));
     std::uint64_t h = 1469598103934665603ull;
-    h = detail::fnv1a_bytes(ids, p * sizeof(std::size_t), h);
-    h = detail::fnv1a_bytes(rinv, p * sizeof(T), h);
+    for (std::size_t n = 0; n < p; ++n) h = detail::fnv1a_word(h, ids[n]);
+    for (std::size_t n = 0; n < p; ++n) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &rinv[n], sizeof(T));
+      h = detail::fnv1a_word(h, bits);
+    }
     return h;
   }
 
@@ -161,6 +166,7 @@ class ColumnWeightSolver {
   std::vector<std::vector<std::size_t>> sig_ids_;
   std::vector<std::vector<T>> sig_rinv_;
   std::vector<std::uint64_t> sig_hash_;
+  std::uint64_t probe_hash_ = 0;  ///< hash of the last lookup()
   std::size_t n_unique_ = 0, n_levels_ = 0;
   std::size_t hits_ = 0, misses_ = 0, fails_ = 0;
 };

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "letkf/column_solver.hpp"
@@ -98,6 +102,9 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
   const real cutoff_h = 2 * cfg_.hloc;
   const real cutoff_v = 2 * cfg_.vloc;
   ObsIndex index(obs, cutoff_h);
+  // Ranking keys carry a candidate's position in 32 bits.
+  if (obs.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("Letkf::analyze_window: more than 2^32 obs");
 
   const idx nz = grid_.nz();
 
@@ -122,9 +129,13 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
                                     cfg_.rtpp_alpha, cfg_.infl_rho,
                                     cfg_.eig_max_iters);
     std::vector<std::size_t> cand;
+    // Per-column candidate data, indexed by candidate position: height,
+    // squared normalized horizontal distance, its Gaspari-Cohn factor,
+    // error variance, and the level's localization weight.
+    std::vector<real> cz, rh2, gh, err2, w_loc;
+    std::vector<std::uint64_t> keys;
     std::vector<real> y_loc, d_loc, rinv_loc;
     std::vector<std::size_t> ids;
-    std::vector<std::pair<real, std::size_t>> ranked;
     std::vector<real> xb(k);
 
 #pragma omp for collapse(2) schedule(dynamic, 4)
@@ -133,6 +144,28 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
         cand.clear();
         index.query(grid_.xc(i), grid_.yc(j), cutoff_h, cand);
         if (cand.empty()) continue;
+
+        // Horizontal localization is the same on every level: compute it
+        // once per column.  Ascending obs index makes a candidate's
+        // position rank it exactly like its index; query() appends one
+        // ascending run per bucket, which a merge sort orders cheaply.
+        std::stable_sort(cand.begin(), cand.end());
+        const std::size_t n_cand = cand.size();
+        cz.resize(n_cand);
+        rh2.resize(n_cand);
+        gh.resize(n_cand);
+        err2.resize(n_cand);
+        w_loc.resize(n_cand);
+        for (std::size_t q = 0; q < n_cand; ++q) {
+          const auto& o = obs[cand[q]];
+          const real dx = o.x - grid_.xc(i);
+          const real dy = o.y - grid_.yc(j);
+          const real rh = std::sqrt(dx * dx + dy * dy) / cfg_.hloc;
+          cz[q] = o.z;
+          rh2[q] = rh * rh;
+          gh[q] = gaspari_cohn(rh);
+          err2[q] = o.error * o.error;
+        }
 
         // One pass over the column: per level, rank the local obs, look the
         // signature up in the column's weight cache (solving it on a miss)
@@ -147,48 +180,43 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
           if (zc < cfg_.z_min || zc > cfg_.z_max) continue;
 
           // Rank candidate obs by localization distance; keep the nearest
-          // max_obs_per_grid (Table 2).
-          ranked.clear();
-          for (std::size_t c : cand) {
-            const auto& o = obs[c];
-            const real dz = o.z - zc;
+          // max_obs_per_grid (Table 2).  Key: the float bits of the
+          // combined normalized distance (>= +0, so they order like the
+          // float) above the candidate position, i.e. the canonical
+          // (distance, index) order in one integer compare.
+          keys.clear();
+          for (std::size_t q = 0; q < n_cand; ++q) {
+            const real dz = cz[q] - zc;
             if (std::abs(dz) > cutoff_v) continue;
-            const real dx = o.x - grid_.xc(i);
-            const real dy = o.y - grid_.yc(j);
-            const real rh = std::sqrt(dx * dx + dy * dy) / cfg_.hloc;
             const real rv = std::abs(dz) / cfg_.vloc;
-            const real w = gaspari_cohn(rh) * gaspari_cohn(rv);
+            const real w = gh[q] * gaspari_cohn(rv);
             if (w < real(1e-4)) continue;
-            // Smaller combined normalized distance = higher priority.
-            ranked.emplace_back(rh * rh + rv * rv, c);
+            w_loc[q] = w;
+            const real dist = rh2[q] + rv * rv;
+            std::uint32_t bits = 0;
+            std::memcpy(&bits, &dist, sizeof bits);
+            keys.push_back((std::uint64_t(bits) << 32) | q);
           }
-          if (ranked.empty()) continue;
+          if (keys.empty()) continue;
           const std::size_t cap =
               static_cast<std::size_t>(cfg_.max_obs_per_grid);
-          if (ranked.size() > cap) {
-            std::nth_element(ranked.begin(), ranked.begin() + cap,
-                             ranked.end());
-            ranked.resize(cap);
+          if (keys.size() > cap) {
+            std::nth_element(keys.begin(), keys.begin() + cap, keys.end());
+            keys.resize(cap);
           }
-          // Canonical (distance, index) order: nth_element leaves an
-          // unspecified permutation, which would make identical selections
-          // look different to the weight cache and tie the summation order
-          // to the library's partitioning.
-          std::sort(ranked.begin(), ranked.end());
+          // Canonical order: nth_element leaves an unspecified permutation,
+          // which would make identical selections look different to the
+          // weight cache and tie the summation order to the library's
+          // partitioning.
+          std::sort(keys.begin(), keys.end());
 
-          const std::size_t p = ranked.size();
+          const std::size_t p = keys.size();
           ids.resize(p);
           rinv_loc.resize(p);
           for (std::size_t n = 0; n < p; ++n) {
-            const std::size_t c = ranked[n].second;
-            const auto& o = obs[c];
-            const real dx = o.x - grid_.xc(i);
-            const real dy = o.y - grid_.yc(j);
-            const real rh = std::sqrt(dx * dx + dy * dy) / cfg_.hloc;
-            const real rv = std::abs(o.z - zc) / cfg_.vloc;
-            const real w = gaspari_cohn(rh) * gaspari_cohn(rv);
-            ids[n] = c;
-            rinv_loc[n] = w / (o.error * o.error);
+            const std::size_t q = keys[n] & 0xffffffffu;
+            ids[n] = cand[q];
+            rinv_loc[n] = w_loc[q] / err2[q];
           }
 
           std::size_t slot = solver.lookup(p, ids.data(), rinv_loc.data());
@@ -198,7 +226,7 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
             y_loc.resize(p * k);
             d_loc.resize(p);
             for (std::size_t n = 0; n < p; ++n) {
-              const std::size_t c = ranked[n].second;
+              const std::size_t c = ids[n];
               d_loc[n] = obs[c].value - ymean[c];
               std::copy_n(&yp[c * k], k, &y_loc[n * k]);
             }
@@ -294,23 +322,30 @@ AnalysisStats Letkf::analyze(scale::Ensemble& ens, const ObsVector& obs_in,
   // ---- H(x) for every (obs, member): hx[n*k + m].
   const std::size_t n_all = obs_in.size();
   std::vector<real> hx(n_all * k);
+  {
+    util::Metrics::ScopedTimer timer(metrics_, "letkf.hx");
 #pragma omp parallel for
-  for (std::size_t m = 0; m < k; ++m) {
-    const std::vector<real> h =
-        member_hx(ens.member(static_cast<int>(m)), obs_in, op);
-    for (std::size_t n = 0; n < n_all; ++n) hx[n * k + m] = h[n];
+    for (std::size_t m = 0; m < k; ++m) {
+      const std::vector<real> h =
+          member_hx(ens.member(static_cast<int>(m)), obs_in, op);
+      for (std::size_t n = 0; n < n_all; ++n) hx[n * k + m] = h[n];
+    }
   }
 
   // ---- QC + obs-space statistics.
+  util::Metrics::ScopedTimer prepare_timer(metrics_, "letkf.prepare");
   const PreparedObs prep = prepare(obs_in, hx, k);
+  prepare_timer.stop();
   stats = prep.stats;
   if (prep.obs.empty()) return stats;
 
   // ---- Local analyses over the full domain as a single window.
   EnsembleSlab slab;
   for (int m = 0; m < ens.size(); ++m) slab.members.push_back(&ens.member(m));
+  util::Metrics::ScopedTimer local_timer(metrics_, "letkf.local");
   const WindowTally t =
       analyze_window(prep, slab, 0, grid_.nx(), 0, grid_.ny());
+  local_timer.stop();
 
   stats.n_grid_updated = t.grid_updated;
   stats.n_eig_fail = t.eig_fail;

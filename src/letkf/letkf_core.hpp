@@ -38,39 +38,70 @@ struct LetkfWorkspace {
   explicit LetkfWorkspace(std::size_t k)
       : a(k * k), q(k * k), pa(k * k), cd(k), wbar(k), tmp(k), e(k) {}
   std::vector<T> a, q, pa, cd, wbar, tmp;
-  std::vector<T> yr;  ///< p x k scaled-perturbation scratch (grown on use)
-  std::vector<T> e;   ///< eigensolver subdiagonal scratch
+  std::vector<T> e;  ///< eigensolver subdiagonal scratch
 };
+
+namespace detail {
+
+/// Rank-1 row updates of obs [n0, n0 + NB) into rows [ib, ie) x columns
+/// [jb, je) of the row-major k x k matrix A: A[i,j] += (Y[n,i] rinv[n])
+/// Y[n,j] for each n in ascending order.  The NB obs share one load and
+/// store of A; the j sweep is contiguous in A and Y and vectorizes.
+template <std::size_t NB, typename T>
+void gram_rank_update(std::size_t k, std::size_t n0, const T* Y,
+                      const T* rinv, std::size_t ib, std::size_t ie,
+                      std::size_t jb, std::size_t je, T* A) {
+  const T* yn = Y + n0 * k;
+  for (std::size_t i = ib; i < ie; ++i) {
+    T yri[NB];
+    for (std::size_t b = 0; b < NB; ++b) yri[b] = yn[b * k + i] * rinv[n0 + b];
+    T* ai = A + i * k;
+#pragma omp simd
+    for (std::size_t j = jb; j < je; ++j) {
+      T a = ai[j];
+      for (std::size_t b = 0; b < NB; ++b) a += yri[b] * yn[b * k + j];
+      ai[j] = a;
+    }
+  }
+}
+
+}  // namespace detail
 
 /// Build the ensemble-space precision matrix
 ///   A = (k-1)/rho I + Y^T diag(rinv) Y
-/// (row-major k x k, into A) with the scaled perturbations
-/// Yr = diag(rinv) Y formed once in `yr` and the Gram product tiled over
-/// output columns, so each p x tile slab of Y stays cache-resident across
-/// the full i sweep instead of being re-streamed per entry.  Determinism:
-/// Yr[n,i] = Y[n,i] * rinv[n] rounds exactly like the naive triple product
-/// (left-associated), and each entry keeps a single accumulator over
-/// ascending n, so the blocked build equals the naive loop bitwise.
-/// `yr` is left holding diag(rinv) Y for reuse by the innovation
-/// projection in letkf_weights.
+/// (row-major k x k, into A) as rank-1 row updates in ascending obs index:
+/// obs n adds (Y[n,i] rinv[n]) Y[n,:] to row i.  A is built in
+/// kGramTile x kGramTile blocks (16 KB of floats), so a block stays in L1
+/// across the whole obs sweep at k = 1000; blocks strictly below the
+/// diagonal are skipped, diagonal blocks are computed in full, and the lower
+/// triangle is then overwritten from the upper one.  Determinism: every
+/// entry keeps a single accumulator summed over ascending n, and
+/// Y[n,i] rinv[n] is formed before the product with Y[n,j], so A equals the
+/// naive left-associated triple product bitwise.  The lower triangle must
+/// be a copy: (Y[n,j] rinv[n]) Y[n,i] does not round like
+/// (Y[n,i] rinv[n]) Y[n,j].
 template <typename T>
 void letkf_build_gram(std::size_t k, std::size_t p, const T* Y, const T* rinv,
-                      T rho, std::vector<T>& yr, T* A) {
-  yr.resize(p * k);
-  for (std::size_t n = 0; n < p; ++n)
-    for (std::size_t i = 0; i < k; ++i) yr[n * k + i] = Y[n * k + i] * rinv[n];
-  constexpr std::size_t kColTile = 48;
-  for (std::size_t jb = 0; jb < k; jb += kColTile) {
-    const std::size_t je = std::min(k, jb + kColTile);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = std::max(i, jb); j < je; ++j) {
-        T s = (i == j) ? T(k - 1) / rho : T(0);
-        for (std::size_t n = 0; n < p; ++n) s += yr[n * k + i] * Y[n * k + j];
-        A[i * k + j] = s;
-        A[j * k + i] = s;
-      }
+                      T rho, T* A) {
+  constexpr std::size_t kGramTile = 64;
+  constexpr std::size_t kObsBlock = 4;
+  const T diag = T(k - 1) / rho;
+  for (std::size_t ib = 0; ib < k; ib += kGramTile) {
+    const std::size_t ie = std::min(k, ib + kGramTile);
+    for (std::size_t jb = ib; jb < k; jb += kGramTile) {
+      const std::size_t je = std::min(k, jb + kGramTile);
+      for (std::size_t i = ib; i < ie; ++i)
+        for (std::size_t j = jb; j < je; ++j)
+          A[i * k + j] = (i == j) ? diag : T(0);
+      const std::size_t p_blocked = p - p % kObsBlock;
+      for (std::size_t n = 0; n < p_blocked; n += kObsBlock)
+        detail::gram_rank_update<kObsBlock>(k, n, Y, rinv, ib, ie, jb, je, A);
+      for (std::size_t n = p_blocked; n < p; ++n)
+        detail::gram_rank_update<1>(k, n, Y, rinv, ib, ie, jb, je, A);
     }
   }
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = i + 1; j < k; ++j) A[j * k + i] = A[i * k + j];
 }
 
 /// Compute the k x k LETKF weight matrix W (column m = weights of member m,
@@ -85,7 +116,7 @@ template <typename T>
                                  const T* d, const T* rinv, T rtpp_alpha,
                                  T rho, LetkfWorkspace<T>& ws, T* W,
                                  int max_iters = 50) {
-  letkf_build_gram(k, p, Y, rinv, rho, ws.yr, ws.a.data());
+  letkf_build_gram(k, p, Y, rinv, rho, ws.a.data());
 
   // Eigendecomposition: ws.a is overwritten with the eigenvectors Q and
   // ws.tmp receives the ascending eigenvalues lambda.
@@ -93,15 +124,16 @@ template <typename T>
   T* eval = ws.tmp.data();
   if (!sym_eigen(k, ws.a.data(), eval, ws.e, max_iters)) return false;
 
-  // cd = Y^T diag(rinv) d from the prebuilt yr = diag(rinv) Y (bitwise
-  // equal to forming Y^T rinv d directly: the products associate
-  // identically).
-  for (std::size_t i = 0; i < k; ++i) {
-    T s = T(0);
-    for (std::size_t n = 0; n < p; ++n) s += ws.yr[n * k + i] * d[n];
-    ws.cd[i] = s;
+  // cd = Y^T diag(rinv) d as rank-1 updates in ascending n, each entry
+  // summing (Y[n,i] rinv[n]) d[n] like the naive loop (bitwise equal).
+  T* cd = ws.cd.data();
+  std::fill_n(cd, k, T(0));
+  for (std::size_t n = 0; n < p; ++n) {
+    const T* yn = Y + n * k;
+    const T r = rinv[n], dn = d[n];
+#pragma omp simd
+    for (std::size_t i = 0; i < k; ++i) cd[i] += (yn[i] * r) * dn;
   }
-  const T* cd = ws.cd.data();
 
   // Guard: A is SPD by construction; clamp tiny eigenvalues against
   // single-precision round-off.

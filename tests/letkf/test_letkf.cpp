@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "letkf/letkf.hpp"
 
@@ -252,6 +255,88 @@ TEST(Letkf, StatsReportInnovationMagnitude) {
   const auto stats = letkf.analyze(f.ens, obs, f.op);
   EXPECT_GT(stats.mean_abs_innovation, 1.0);  // background is ~calm
   EXPECT_LT(stats.mean_abs_innovation, 10.0);
+}
+
+// Golden output of the full local analysis: every member byte after
+// analyze() is pinned, so a change to the ranking, the localization or the
+// weight kernels that moves any bit fails here.  k = 16 members; the obs
+// sit on the cell faces of a 500-m lattice at three heights halfway between
+// model levels, so a gridpoint sees its candidates at pairwise equal
+// distances and the (distance, index) tie-break decides which of them the
+// max_obs_per_grid cap keeps.
+std::uint64_t fnv1a(std::uint64_t h, std::span<const real> v) {
+  for (real x : v) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+std::uint64_t ensemble_digest(const scale::Ensemble& ens) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (int m = 0; m < ens.size(); ++m) {
+    const scale::State& s = ens.member(m);
+    h = fnv1a(h, s.dens.raw());
+    h = fnv1a(h, s.rhot.raw());
+    h = fnv1a(h, s.momx.raw());
+    h = fnv1a(h, s.momy.raw());
+    h = fnv1a(h, s.momz.raw());
+    for (int t = 0; t < scale::kNumTracers; ++t) h = fnv1a(h, s.rhoq[t].raw());
+  }
+  return h;
+}
+
+TEST(LetkfGolden, AnalysisDigestUnchanged) {
+  const Grid grid = lgrid();
+  scale::Ensemble ens(grid, scale::convective_sounding(), light_config(), 16);
+  Rng rng(20210801);
+  scale::PerturbationSpec spec;
+  spec.theta_amp = 0.5f;
+  spec.qv_frac = 0.05f;
+  spec.wind_amp = 0.8f;
+  spec.zmax = 8000.0f;
+  ens.perturb(spec, rng);
+  // Member-dependent rain in a patch, so reflectivity obs carry spread.
+  for (int m = 0; m < ens.size(); ++m)
+    for (idx i = 5; i < 11; ++i)
+      for (idx j = 6; j < 10; ++j)
+        for (idx kk = 0; kk < 4; ++kk)
+          ens.member(m).rhoq[scale::QR](i, j, kk) =
+              ens.member(m).dens(i, j, kk) * real(4e-4 + 1e-4 * (m % 5));
+
+  ObsVector obs;
+  for (real z : {1000.0f, 2000.0f, 3000.0f})
+    for (int a = 2; a <= 14; ++a)
+      for (int b = 2; b <= 14; ++b) {
+        const real x = 500.0f * real(a), y = 500.0f * real(b);
+        if ((a + b) % 2 == 0)
+          obs.push_back({ObsType::kDopplerVelocity, x, y, z,
+                         real(0.3 * (a - 8) - 0.2 * (b - 8)), 3.0f});
+        else
+          obs.push_back({ObsType::kReflectivity, x, y, z,
+                         real((a * 7 + b * 3) % 5), 5.0f});
+      }
+
+  LetkfConfig cfg = fast_letkf();
+  cfg.max_obs_per_grid = 48;  // well below the ~300 candidates per level
+  Letkf letkf(grid, cfg);
+  ObsOperator op{grid, 4000.0f, 4000.0f, 50.0f};
+  const AnalysisStats stats = letkf.analyze(ens, obs, op);
+
+  // Recorded from the per-level ranking and triple-loop Gram build.
+  EXPECT_EQ(stats.n_obs_qc, 0u);
+  EXPECT_EQ(stats.n_eig_fail, 0u);
+  EXPECT_EQ(stats.n_grid_updated, 1536u);
+  EXPECT_EQ(stats.n_weight_solved, 1536u);
+  EXPECT_EQ(stats.n_weight_reuse, 0u);
+  EXPECT_EQ(stats.mean_local_obs * 1536.0, 68520.0);
+  const std::uint64_t digest = ensemble_digest(ens);
+  EXPECT_EQ(digest, 0x14c9b49dbb42afb1ull)
+      << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace

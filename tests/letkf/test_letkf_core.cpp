@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "letkf/letkf_core.hpp"
@@ -254,6 +255,48 @@ TEST(LetkfCore, SingleFloatPrecisionStable) {
   }
   const double g = 4.0 / 5.0;
   EXPECT_NEAR(moments(xad).mean, 5.0 + g * 3.0, 2e-3);
+}
+
+// The naive triple loop the Gram build replaced: one accumulator per entry
+// over ascending n, (Y[n,i] rinv[n]) Y[n,j] left-associated, lower triangle
+// mirrored from the upper one.
+template <typename T>
+std::vector<T> naive_gram(std::size_t k, std::size_t p, const T* Y,
+                          const T* rinv, T rho) {
+  std::vector<T> A(k * k);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = i; j < k; ++j) {
+      T s = (i == j) ? T(k - 1) / rho : T(0);
+      for (std::size_t n = 0; n < p; ++n)
+        s += Y[n * k + i] * rinv[n] * Y[n * k + j];
+      A[i * k + j] = s;
+      A[j * k + i] = s;
+    }
+  return A;
+}
+
+template <typename T>
+void expect_gram_matches_naive(std::size_t k, std::size_t p, Rng& rng) {
+  std::vector<T> Y(p * k), rinv(p);
+  for (auto& v : Y) v = T(rng.normal());
+  for (auto& v : rinv) v = T(0.25 + std::abs(rng.normal()));
+  const T rho = T(0.9);
+  const std::vector<T> ref = naive_gram(k, p, Y.data(), rinv.data(), rho);
+  std::vector<T> A(k * k, T(-7));  // stale contents must be overwritten
+  letkf_build_gram(k, p, Y.data(), rinv.data(), rho, A.data());
+  std::size_t bad = 0;
+  for (std::size_t e = 0; e < k * k; ++e)
+    if (std::memcmp(&A[e], &ref[e], sizeof(T)) != 0) ++bad;
+  EXPECT_EQ(bad, 0u) << "k=" << k << " p=" << p;
+}
+
+TEST(LetkfCore, GramMatchesNaiveTripleLoopBitwise) {
+  Rng rng(2023);
+  for (std::size_t k : {1, 2, 5, 16, 17, 64, 130})
+    for (std::size_t p : {0, 1, 7, 600}) {
+      expect_gram_matches_naive<float>(k, p, rng);
+      expect_gram_matches_naive<double>(k, p, rng);
+    }
 }
 
 }  // namespace
